@@ -143,16 +143,15 @@ int main(int argc, char** argv) {
     if (pt == nullptr) continue;
     const EccDesign& d = pt->design;
     const double ber = static_cast<double>(d.t) / d.codeword_bits;
-    baselines::BaselineMcConfig mc;
-    mc.ber = ber;
+    reliability::McConfig mc;
+    mc.scheme = [&] { return std::make_unique<baselines::RegionEccCache>(mc_lines, d); };
+    mc.cache.ber = ber;
     mc.max_intervals = mc_intervals;
     mc.seed = seed;
     exp::ExpOptions cell_opts = base_opts;
     cell_opts.checkpoint_scope = bench_name + ".mc." + name;
     exp::RunStats stats;
-    const auto r = exp::run_baseline_mc_parallel(
-        [&] { return std::make_unique<baselines::RegionEccCache>(mc_lines, d); },
-        mc, cell_opts, &stats);
+    const auto r = exp::run_montecarlo_parallel(mc, cell_opts, &stats);
     bench::exit_if_interrupted(args);
     total_stats += stats;
     total_metrics += r.metrics;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
     const double predicted = regions * p_region;
     // A >t-fault codeword either fails to decode (DUE) or miscorrects
     // (SDC); the analytical P[>t] covers both outcomes.
-    const double measured = static_cast<double>(r.due_units + r.sdc_units) /
+    const double measured = static_cast<double>(r.due_lines + r.sdc_lines) /
                             static_cast<double>(r.intervals);
     const double ratio = predicted > 0.0 ? measured / predicted : 0.0;
     std::printf("  %-9s %9s %9llu %12.3f %12.3f %7.3f\n", name.c_str(),
@@ -175,8 +174,8 @@ int main(int argc, char** argv) {
     jr.set("design", name)
         .set("ber", ber)
         .set("intervals", r.intervals)
-        .set("due_units", r.due_units)
-        .set("sdc_units", r.sdc_units)
+        .set("due_units", r.due_lines)
+        .set("sdc_units", r.sdc_lines)
         .set("corrected", r.corrected)
         .set("measured_due_per_interval", measured)
         .set("predicted_due_per_interval", predicted)

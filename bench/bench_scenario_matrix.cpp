@@ -25,7 +25,6 @@
 
 #include "baselines/ecck_cache.h"
 #include "baselines/hiecc_cache.h"
-#include "baselines/mc_runner.h"
 #include "bench_util.h"
 #include "exp/checkpoint.h"
 #include "exp/mc_experiments.h"
@@ -122,6 +121,29 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(c.faults));
   };
 
+  // One cell. Its "corrected" column holds SuDoku's ECC-1 count and the
+  // baselines' in-place repairs.
+  const auto run_cell = [&](const std::string& scenario_name,
+                            const std::string& scheme_name,
+                            reliability::McConfig mc) {
+    mc.max_intervals = max_intervals;
+    mc.seed = seed;
+    exp::ExpOptions cell_opts = base_opts;
+    cell_opts.checkpoint_scope =
+        bench_name + "." + scenario_name + "." + scheme_name;
+    exp::RunStats stats;
+    const auto r = exp::run_montecarlo_parallel(mc, cell_opts, &stats);
+    bench::exit_if_interrupted(args);
+    total_stats += stats;
+    total_metrics += r.metrics;
+    Cell cell{scenario_name,       scheme_name, r.intervals,
+              r.failure_intervals, r.due_lines, r.sdc_lines,
+              mc.scheme ? r.corrected : r.ecc1_corrections,
+              r.faults_injected};
+    print_cell(cell);
+    cells.push_back(std::move(cell));
+  };
+
   for (const auto& scenario_name : scenario_names) {
     const faults::ScenarioSpec spec =
         faults::ScenarioSpec::builtin(scenario_name);
@@ -135,47 +157,17 @@ int main(int argc, char** argv) {
       mc.cache.num_lines = lines;
       mc.cache.group_size = group;
       mc.level = level;
-      mc.max_intervals = max_intervals;
-      mc.seed = seed;
       mc.scenario = &sudoku_scn;
-      exp::ExpOptions cell_opts = base_opts;
-      cell_opts.checkpoint_scope =
-          bench_name + "." + scenario_name + "." + to_string(level);
-      exp::RunStats stats;
-      const auto r = exp::run_montecarlo_parallel(mc, cell_opts, &stats);
-      bench::exit_if_interrupted(args);
-      total_stats += stats;
-      total_metrics += r.metrics;
-      Cell cell{scenario_name,   to_string(level),  r.intervals,
-                r.failure_intervals, r.due_lines,   r.sdc_lines,
-                r.ecc1_corrections,  r.faults_injected};
-      print_cell(cell);
-      cells.push_back(std::move(cell));
+      run_cell(scenario_name, to_string(level), mc);
     }
 
     const auto run_baseline = [&](const std::string& scheme_name,
                                   const faults::Geometry& geo,
-                                  const exp::SchemeFactory& factory) {
-      const faults::FaultScenario& scn =
-          live_scenarios.emplace_back(spec, geo, seed);
-      baselines::BaselineMcConfig bc;
-      bc.max_intervals = max_intervals;
-      bc.seed = seed;
-      bc.scenario = &scn;
-      exp::ExpOptions cell_opts = base_opts;
-      cell_opts.checkpoint_scope =
-          bench_name + "." + scenario_name + "." + scheme_name;
-      exp::RunStats stats;
-      const auto r =
-          exp::run_baseline_mc_parallel(factory, bc, cell_opts, &stats);
-      bench::exit_if_interrupted(args);
-      total_stats += stats;
-      total_metrics += r.metrics;
-      Cell cell{scenario_name,   scheme_name,  r.intervals,
-                r.failure_intervals, r.due_units, r.sdc_units,
-                r.corrected,         r.faults_injected};
-      print_cell(cell);
-      cells.push_back(std::move(cell));
+                                  const reliability::SchemeFactory& factory) {
+      reliability::McConfig mc;
+      mc.scheme = factory;
+      mc.scenario = &live_scenarios.emplace_back(spec, geo, seed);
+      run_cell(scenario_name, scheme_name, mc);
     };
 
     run_baseline(

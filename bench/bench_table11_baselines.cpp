@@ -8,14 +8,13 @@
 // per-trial seed streams, so counts are thread-count-invariant; the whole
 // comparison is written as a bench/out JSON artifact. With --checkpoint /
 // --resume each scheme's shards checkpoint under their own scope (the
-// baseline configs are otherwise identical across schemes, so the scope is
-// what keeps their checkpoint trees apart — see docs/robustness.md).
+// configs are otherwise identical across schemes, so the scope is what
+// keeps their checkpoint trees apart — see docs/robustness.md).
 #include <cstdio>
 #include <memory>
 #include <optional>
 
 #include "baselines/cppc_cache.h"
-#include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
 #include "baselines/twodp_cache.h"
 #include "bench_util.h"
@@ -62,8 +61,14 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Functional Monte-Carlo at accelerated BER (1 MB cache, 128-line groups, BER 1e-4)");
-  baselines::BaselineMcConfig mcfg;
-  mcfg.ber = 1e-4;
+  // 128-line groups: SuDoku-Z's skewed hash needs num_lines >= group^2.
+  const std::uint64_t lines = 1u << 14;
+  const std::uint32_t group = 128;
+  McConfig mcfg;
+  mcfg.cache.num_lines = lines;
+  mcfg.cache.group_size = group;
+  mcfg.cache.ber = 1e-4;
+  mcfg.level = SudokuLevel::kZ;
   mcfg.max_intervals = 300 * args.scale;
   mcfg.seed = args.seed_or(7);
 
@@ -80,18 +85,16 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry total_metrics;
   exp::JsonArray mc_rows;
 
-  // 128-line groups: SuDoku-Z's skewed hash needs num_lines >= group^2.
-  const std::uint64_t lines = 1u << 14;
-  const std::uint32_t group = 128;
-
-  const auto run_scheme = [&](const std::string& name,
-                              const exp::SchemeFactory& factory) {
-    // The BaselineMcConfig is identical for every scheme; the per-scheme
-    // checkpoint scope is what keeps their shard payloads apart.
+  // An empty factory runs SuDoku-Z from mcfg's geometry.
+  const auto run_scheme = [&](const std::string& name, const SchemeFactory& factory) {
+    // The config is identical for every scheme; the per-scheme checkpoint
+    // scope is what keeps their shard payloads apart.
+    McConfig cfg = mcfg;
+    cfg.scheme = factory;
     exp::ExpOptions scheme_opts = opts;
     scheme_opts.checkpoint_scope = "table11." + name;
     exp::RunStats stats;
-    const auto r = exp::run_baseline_mc_parallel(factory, mcfg, scheme_opts, &stats);
+    const auto r = exp::run_montecarlo_parallel(cfg, scheme_opts, &stats);
     bench::exit_if_interrupted(args);
     total_stats += stats;
     total_metrics += r.metrics;
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
     jr.set("scheme", name)
         .set("failure_intervals", r.failure_intervals)
         .set("intervals", r.intervals)
-        .set("sdc_units", r.sdc_units);
+        .set("sdc_units", r.sdc_lines);
     mc_rows.push(jr);
   };
 
@@ -120,34 +123,10 @@ int main(int argc, char** argv) {
   run_scheme("2DP ECC-1+CRC-31", [&] {
     return std::make_unique<baselines::TwoDpCache>(lines, group);
   });
-  {
-    McConfig zc;
-    zc.cache.num_lines = lines;
-    zc.cache.group_size = group;
-    zc.cache.ber = mcfg.ber;
-    zc.level = SudokuLevel::kZ;
-    zc.max_intervals = mcfg.max_intervals;
-    zc.seed = mcfg.seed;
-    exp::ExpOptions z_opts = opts;
-    z_opts.checkpoint_scope = "table11.SuDoku-Z";
-    exp::RunStats stats;
-    const auto r = exp::run_montecarlo_parallel(zc, z_opts, &stats);
-    bench::exit_if_interrupted(args);
-    total_stats += stats;
-    total_metrics += r.metrics;
-    std::printf("  %-24s failure intervals: %llu/%llu\n", "SuDoku-Z",
-                static_cast<unsigned long long>(r.failure_intervals),
-                static_cast<unsigned long long>(r.intervals));
-    exp::JsonObject jr;
-    jr.set("scheme", "SuDoku-Z")
-        .set("failure_intervals", r.failure_intervals)
-        .set("intervals", r.intervals)
-        .set("sdc_units", r.sdc_lines);
-    mc_rows.push(jr);
-  }
+  run_scheme("SuDoku-Z", nullptr);
 
   exp::JsonObject config;
-  config.set("ber", mcfg.ber)
+  config.set("ber", mcfg.cache.ber)
       .set("max_intervals", mcfg.max_intervals)
       .set("seed", mcfg.seed)
       .set("num_lines", lines)

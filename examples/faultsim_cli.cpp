@@ -9,12 +9,12 @@
 //                [--intervals=1000] [--seed=1] [--inner-t=1]
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "baselines/cppc_cache.h"
 #include "baselines/ecck_cache.h"
 #include "baselines/hiecc_cache.h"
-#include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
 #include "baselines/twodp_cache.h"
 #include "reliability/analytical.h"
@@ -92,14 +92,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(args.lines), args.group, args.ber,
               static_cast<unsigned long long>(args.intervals));
 
+  McConfig cfg;
+  cfg.cache = ap;
+  cfg.max_intervals = args.intervals;
+  cfg.seed = args.seed;
+
   if (args.scheme == "x" || args.scheme == "y" || args.scheme == "z") {
-    McConfig cfg;
-    cfg.cache = ap;
     cfg.level = args.scheme == "x"   ? SudokuLevel::kX
                 : args.scheme == "y" ? SudokuLevel::kY
                                      : SudokuLevel::kZ;
-    cfg.max_intervals = args.intervals;
-    cfg.seed = args.seed;
     const auto r = run_montecarlo(cfg);
     FitResult an{};
     if (args.scheme == "x") an = sudoku_x_due(ap);
@@ -117,40 +118,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  baselines::BaselineMcConfig mcfg;
-  mcfg.ber = args.ber;
-  mcfg.max_intervals = args.intervals;
-  mcfg.seed = args.seed;
-
+  double analytical_p = 0.0;
   if (args.scheme.rfind("ecc", 0) == 0) {
     const int k = std::stoi(args.scheme.substr(3));
-    baselines::EccKCache cache(args.lines, k);
-    const auto r = run_baseline_mc(cache, mcfg);
-    report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
-           ecc_k(ap, k).p_interval());
+    cfg.scheme = [&args, k] { return std::make_unique<baselines::EccKCache>(args.lines, k); };
+    analytical_p = ecc_k(ap, k).p_interval();
   } else if (args.scheme == "cppc") {
-    baselines::CppcCache cache(args.lines);
-    const auto r = run_baseline_mc(cache, mcfg);
-    report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
-           cppc(ap).p_interval());
+    cfg.scheme = [&] { return std::make_unique<baselines::CppcCache>(args.lines); };
+    analytical_p = cppc(ap).p_interval();
   } else if (args.scheme == "raid6") {
-    baselines::Raid6Cache cache(args.lines, args.group);
-    const auto r = run_baseline_mc(cache, mcfg);
-    report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
-           raid6(ap).p_interval());
+    cfg.scheme = [&] { return std::make_unique<baselines::Raid6Cache>(args.lines, args.group); };
+    analytical_p = raid6(ap).p_interval();
   } else if (args.scheme == "2dp") {
-    baselines::TwoDpCache cache(args.lines, args.group);
-    const auto r = run_baseline_mc(cache, mcfg);
-    report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
-           twodp(ap).p_interval());
+    cfg.scheme = [&] { return std::make_unique<baselines::TwoDpCache>(args.lines, args.group); };
+    analytical_p = twodp(ap).p_interval();
   } else if (args.scheme == "hiecc") {
-    baselines::HiEccCache cache(args.lines);
-    const auto r = run_baseline_mc(cache, mcfg);
-    report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
-           hi_ecc(ap).p_interval());
+    cfg.scheme = [&] { return std::make_unique<baselines::HiEccCache>(args.lines); };
+    analytical_p = hi_ecc(ap).p_interval();
   } else {
     std::fprintf(stderr, "\nunknown scheme: %s\n", args.scheme.c_str());
     return 1;
   }
+  const auto r = run_montecarlo(cfg);
+  report(cfg.scheme()->name(), r.p_failure_per_interval(), r.failure_intervals,
+         r.intervals, analytical_p);
   return 0;
 }

@@ -7,10 +7,10 @@
 
 namespace sudoku::baselines {
 
-BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
-                              std::span<const std::uint64_t> units,
-                              std::size_t min_batch) {
-  BaselineStats stats;
+reliability::UnitScrubStats batch_scrub_bch(const Bch& bch, SttramArray& array,
+                                            std::span<const std::uint64_t> units,
+                                            std::size_t min_batch) {
+  reliability::UnitScrubStats stats;
   const std::size_t nsyn = 2 * static_cast<std::size_t>(bch.t());
   const auto apply = [&](std::uint64_t unit, BitVec& cw,
                          Bch::DecodeResult res) {

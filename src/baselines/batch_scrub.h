@@ -11,7 +11,7 @@
 
 #include <span>
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "codes/bch.h"
 #include "sttram/array.h"
 
@@ -21,8 +21,8 @@ namespace sudoku::baselines {
 // kCorrected units are written back, kUncorrectable ones recorded as DUE.
 // Batches of up to BitPlanes::kMaxLines; below `min_batch` units the
 // per-unit word-Horner path is cheaper and is used instead.
-BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
-                              std::span<const std::uint64_t> units,
-                              std::size_t min_batch);
+reliability::UnitScrubStats batch_scrub_bch(const Bch& bch, SttramArray& array,
+                                            std::span<const std::uint64_t> units,
+                                            std::size_t min_batch);
 
 }  // namespace sudoku::baselines

@@ -30,8 +30,8 @@ bool CppcCache::parity_consistent() const {
   return acc.none();
 }
 
-BaselineStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
-  BaselineStats stats;
+reliability::UnitScrubStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
+  reliability::UnitScrubStats stats;
   std::vector<std::uint64_t> bad;
   BitVec stored(codec_.total_bits());
   for (const auto line : units) {
@@ -65,13 +65,6 @@ BaselineStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
     stats.due_unit_ids.push_back(line);
   }
   return stats;
-}
-
-void CppcCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  // Thermal faults flip stored bits without touching the parity, so the
-  // global parity still reflects the line's clean codeword: restoring the
-  // golden value re-establishes consistency by itself.
-  array_.write_line(unit, golden_stored);
 }
 
 }  // namespace sudoku::baselines

@@ -6,25 +6,22 @@
 // rate happens almost every scrub interval (FIT ~1.7e14).
 #pragma once
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "sudoku/line_codec.h"
 
 namespace sudoku::baselines {
 
-class CppcCache final : public CacheScheme {
+class CppcCache final : public reliability::CacheScheme {
  public:
   explicit CppcCache(std::uint64_t num_lines);
 
   std::string name() const override { return "CPPC+CRC-31"; }
-  std::uint64_t num_units() const override { return array_.num_lines(); }
-  std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
   SttramArray& array() override { return array_; }
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override {
+  reliability::UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override;
+  double overhead_bits_per_line() const {
     // 41 check bits per line; one global parity amortises to ~0.
     return 41.0 + static_cast<double>(codec_.total_bits()) / num_units();
   }

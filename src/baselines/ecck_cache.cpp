@@ -23,14 +23,10 @@ void EccKCache::format_random(Rng& rng) {
   }
 }
 
-BaselineStats EccKCache::scrub_units(std::span<const std::uint64_t> units) {
+reliability::UnitScrubStats EccKCache::scrub_units(std::span<const std::uint64_t> units) {
   // Batched syndromes + decode_with_syndromes (bit-identical to per-line
   // decode); break-even width from docs/perf.md.
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
-}
-
-void EccKCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  array_.write_line(unit, golden_stored);  // no parity state to resync
 }
 
 }  // namespace sudoku::baselines

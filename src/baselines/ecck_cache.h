@@ -6,25 +6,22 @@
 
 #include <memory>
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "codes/bch.h"
 
 namespace sudoku::baselines {
 
-class EccKCache final : public CacheScheme {
+class EccKCache final : public reliability::CacheScheme {
  public:
   EccKCache(std::uint64_t num_lines, int k);
 
   std::string name() const override;
-  std::uint64_t num_units() const override { return array_.num_lines(); }
-  std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
   SttramArray& array() override { return array_; }
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override { return 10.0 * k_; }
+  reliability::UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override;
+  double overhead_bits_per_line() const { return 10.0 * k_; }
 
   int k() const { return k_; }
   const Bch& codec() const { return bch_; }

@@ -47,8 +47,8 @@ void Raid6Cache::format_random(Rng& rng) {
   for (std::uint64_t g = 0; g < geo_.num_groups(); ++g) rebuild_group(g);
 }
 
-BaselineStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
-  BaselineStats stats;
+reliability::UnitScrubStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
+  reliability::UnitScrubStats stats;
   std::unordered_set<std::uint64_t> pending_groups;
   BitVec stored(codec_.total_bits());
   for (const auto line : units) {
@@ -114,11 +114,6 @@ BaselineStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
     }
   }
   return stats;
-}
-
-void Raid6Cache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  // Parities reflect the clean codewords already; just restore the data.
-  array_.write_line(unit, golden_stored);
 }
 
 }  // namespace sudoku::baselines

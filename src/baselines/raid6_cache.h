@@ -8,7 +8,7 @@
 #include <optional>
 #include <vector>
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "raid/geometry.h"
 #include "raid/raid6.h"
 #include "raid/rdp.h"
@@ -23,7 +23,7 @@ namespace sudoku::baselines {
 // (and FIT) are identical; RDP is pure XOR, P+Q needs GF multipliers.
 enum class Raid6Flavor { kPQ, kRdp };
 
-class Raid6Cache final : public CacheScheme {
+class Raid6Cache final : public reliability::CacheScheme {
  public:
   Raid6Cache(std::uint64_t num_lines, std::uint32_t group_size,
              Raid6Flavor flavor = Raid6Flavor::kPQ);
@@ -31,15 +31,12 @@ class Raid6Cache final : public CacheScheme {
   std::string name() const override {
     return flavor_ == Raid6Flavor::kPQ ? "RAID-6(P+Q)+CRC-31" : "RAID-6(RDP)+CRC-31";
   }
-  std::uint64_t num_units() const override { return array_.num_lines(); }
-  std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
   SttramArray& array() override { return array_; }
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override {
+  reliability::UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override;
+  double overhead_bits_per_line() const {
     // 41 check bits + two parity lines amortised over the group.
     return 41.0 + 2.0 * codec_.total_bits() / geo_.group_size;
   }

@@ -41,15 +41,11 @@ void RegionEccCache::format_random(Rng& rng) {
   }
 }
 
-BaselineStats RegionEccCache::scrub_units(std::span<const std::uint64_t> units) {
+reliability::UnitScrubStats RegionEccCache::scrub_units(std::span<const std::uint64_t> units) {
   // Region decode hook, batched: syndromes for up to 64 regions run
   // bit-sliced, then each dirty region goes through
   // decode_with_syndromes — identical outcomes to per-region decode().
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
-}
-
-void RegionEccCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  array_.write_line(unit, golden_stored);
 }
 
 RegionEccCache::LineRead RegionEccCache::read_line_data(std::uint64_t line) {

@@ -15,7 +15,7 @@
 
 #include <functional>
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "codes/bch.h"
 #include "codes/ecc_design.h"
 
@@ -40,7 +40,7 @@ struct RegionIoStats {
   }
 };
 
-class RegionEccCache : public CacheScheme {
+class RegionEccCache : public reliability::CacheScheme {
  public:
   // `num_lines` is in 64 B cache lines and must be a multiple of the
   // design's lines-per-codeword.
@@ -49,15 +49,12 @@ class RegionEccCache : public CacheScheme {
                  int t);
 
   std::string name() const override;
-  std::uint64_t num_units() const override { return array_.num_lines(); }
-  std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
   SttramArray& array() override { return array_; }
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override {
+  reliability::UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override;
+  double overhead_bits_per_line() const {
     return static_cast<double>(bch_.parity_bits()) / lines_per_region_;
   }
 

@@ -15,18 +15,13 @@ SudokuConfig make_config(std::uint64_t num_lines, std::uint32_t group_size) {
 TwoDpCache::TwoDpCache(std::uint64_t num_lines, std::uint32_t group_size)
     : ctrl_(make_config(num_lines, group_size)) {}
 
-BaselineStats TwoDpCache::scrub_units(std::span<const std::uint64_t> units) {
+reliability::UnitScrubStats TwoDpCache::scrub_units(std::span<const std::uint64_t> units) {
   const auto s = ctrl_.scrub_lines(units);
-  BaselineStats stats;
+  reliability::UnitScrubStats stats;
   stats.corrected = s.ecc1_corrections + s.raid4_repairs + s.sdr_repairs;
   stats.due_units = s.due_lines;
   stats.due_unit_ids = s.due_line_ids;
   return stats;
-}
-
-void TwoDpCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  // Parity already reflects the clean codeword (faults never touch it).
-  ctrl_.array().write_line(unit, golden_stored);
 }
 
 }  // namespace sudoku::baselines

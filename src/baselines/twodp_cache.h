@@ -7,25 +7,22 @@
 // interface.
 #pragma once
 
-#include "baselines/scheme.h"
+#include "reliability/scheme.h"
 #include "sudoku/controller.h"
 
 namespace sudoku::baselines {
 
-class TwoDpCache final : public CacheScheme {
+class TwoDpCache final : public reliability::CacheScheme {
  public:
   TwoDpCache(std::uint64_t num_lines, std::uint32_t group_size);
 
   std::string name() const override { return "2DP+ECC-1+CRC-31"; }
-  std::uint64_t num_units() const override { return ctrl_.array().num_lines(); }
-  std::uint32_t bits_per_unit() const override { return ctrl_.array().bits_per_line(); }
   SttramArray& array() override { return ctrl_.array(); }
   const SttramArray& array() const override { return ctrl_.array(); }
 
   void format_random(Rng& rng) override { ctrl_.format_random(rng); }
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override {
+  reliability::UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override;
+  double overhead_bits_per_line() const {
     return 41.0 + static_cast<double>(ctrl_.codec().total_bits()) /
                       ctrl_.config().geo.group_size;
   }

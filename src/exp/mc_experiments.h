@@ -1,23 +1,19 @@
-// Engine adapters for the two Monte-Carlo harnesses: shard the interval
-// budget, run each shard with per-trial seed streams on the work-stealing
-// pool, and merge deterministically. Merged counts are bit-identical for
-// any thread count (see docs/exp_engine.md for the exact contract).
+// Engine adapter for the Monte-Carlo loop: shard the interval budget, run
+// each shard with per-trial seed streams on the work-stealing pool, and
+// merge deterministically. Merged counts are bit-identical for any thread
+// count (see docs/exp_engine.md for the exact contract).
 //
 // Fault tolerance (docs/robustness.md): pass a CheckpointStore to persist
 // every finished shard and replay them on resume; pass a ShardRunReport to
-// get quarantine/retry/interrupt accounting. Both harnesses always run
-// with quarantine on — a throwing trial degrades the campaign instead of
-// terminating it.
+// get quarantine/retry/interrupt accounting. Runs always have quarantine
+// on — a throwing trial degrades the campaign instead of terminating it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "baselines/mc_runner.h"
-#include "baselines/scheme.h"
 #include "exp/checkpoint.h"
 #include "exp/errors.h"
 #include "exp/result_sink.h"
@@ -36,8 +32,8 @@ struct ExpOptions {
   // seed), so any config change cold-starts automatically.
   CheckpointStore* checkpoint = nullptr;
   // Disambiguates runs whose configs would hash identically (e.g. the same
-  // BaselineMcConfig driven through different schemes). Also names the
-  // checkpoint subdirectory.
+  // McConfig driven through different scheme factories, which cannot be
+  // hashed). Also names the checkpoint subdirectory.
   std::string checkpoint_scope;
   // Tries per shard before quarantine (minimum 1).
   unsigned max_attempts = 3;
@@ -59,30 +55,22 @@ struct ExpOptions {
   unsigned poll_ms = 20;
 };
 
-// Parallel reliability::run_montecarlo. config.seed / max_intervals /
+// Parallel reliability::run_montecarlo, for SuDoku or any config.scheme
+// (each shard builds its own instance). config.seed / max_intervals /
 // target_failures keep their sequential meanings; the per-trial-stream and
 // shard fields of `config` are managed by the engine and ignored on input.
 reliability::McResult run_montecarlo_parallel(const reliability::McConfig& config,
                                               const ExpOptions& options = {},
                                               RunStats* stats = nullptr);
 
-// Parallel baselines::run_baseline_mc. Each shard drives its own scheme
-// instance, so the caller provides a factory instead of a live scheme.
-using SchemeFactory = std::function<std::unique_ptr<baselines::CacheScheme>()>;
-baselines::BaselineMcResult run_baseline_mc_parallel(
-    const SchemeFactory& factory, const baselines::BaselineMcConfig& config,
-    const ExpOptions& options = {}, RunStats* stats = nullptr);
-
 // ---- checkpoint payload codecs ----------------------------------------
 // Round-trip-exact JSON (de)serialization of shard results, including the
 // embedded metrics registry: decode(encode(r)) reproduces r bit for bit,
 // which is what makes resumed merges byte-identical to uninterrupted ones.
 // decode returns std::nullopt on any malformed payload (torn file, schema
-// drift) — the engine then recomputes the shard.
+// drift, a payload version other than the current one) — the engine then
+// recomputes the shard.
 std::string encode_mc_result(const reliability::McResult& r);
 std::optional<reliability::McResult> decode_mc_result(const std::string& payload);
-std::string encode_baseline_mc_result(const baselines::BaselineMcResult& r);
-std::optional<baselines::BaselineMcResult> decode_baseline_mc_result(
-    const std::string& payload);
 
 }  // namespace sudoku::exp

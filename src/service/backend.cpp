@@ -144,7 +144,7 @@ class HiEccBackend final : public Backend {
     ScrubReport report;
     report.due = stats.due_units;
     report.due_units = std::move(stats.due_unit_ids);
-    // BaselineStats does not track which units were corrected in place, so
+    // UnitScrubStats does not track which units were corrected in place, so
     // Hi-ECC retirement strikes come only from DUE units and read outcomes.
     return report;
   }

@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "baselines/cppc_cache.h"
 #include "baselines/ecck_cache.h"
 #include "baselines/hiecc_cache.h"
-#include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
 #include "baselines/twodp_cache.h"
 #include "reliability/analytical.h"
+#include "reliability/montecarlo.h"
 
 namespace sudoku::baselines {
 namespace {
 
-void inject(CacheScheme& s, std::uint64_t unit, int count, Rng& rng) {
+void inject(reliability::CacheScheme& s, std::uint64_t unit, int count, Rng& rng) {
   std::set<std::uint32_t> used;
   while (static_cast<int>(used.size()) < count) {
     const auto bit = static_cast<std::uint32_t>(rng.next_below(s.bits_per_unit()));
@@ -21,7 +22,7 @@ void inject(CacheScheme& s, std::uint64_t unit, int count, Rng& rng) {
   }
 }
 
-BitVec snapshot(const CacheScheme& s, std::uint64_t unit) {
+BitVec snapshot(const reliability::CacheScheme& s, std::uint64_t unit) {
   return s.array().read_line(unit);
 }
 
@@ -60,7 +61,7 @@ TEST_P(EccKParam, FlagsKPlusTwoFaults) {
     const std::uint64_t units[] = {3};
     const auto stats = cache.scrub_units(units);
     due += static_cast<int>(stats.due_units);
-    cache.restore_unit(3, golden);
+    cache.array().write_line(3, golden);
   }
   EXPECT_GT(due, 15);  // nearly always detected
 }
@@ -83,7 +84,7 @@ TEST_P(EccKParam, NeverReportsCleanBeyondK) {
       // codeword — either way it was not reported clean.
       EXPECT_EQ(stats.corrected, 1u);
     }
-    cache.restore_unit(9, golden);
+    cache.array().write_line(9, golden);
   }
 }
 
@@ -262,18 +263,24 @@ TEST(HiEccCache, OverheadFarBelowEcc6PerLine) {
   EXPECT_LT(cache.overhead_bits_per_line(), 6.0);  // ~5.25 bits per 64 B
 }
 
-// ---------- generic MC runner ----------
+// ---------- the Monte-Carlo loop driving baselines ----------
+
+reliability::McConfig baseline_config(reliability::SchemeFactory scheme, double ber,
+                                      std::uint64_t intervals) {
+  reliability::McConfig cfg;
+  cfg.scheme = std::move(scheme);
+  cfg.cache.ber = ber;
+  cfg.max_intervals = intervals;
+  return cfg;
+}
 
 TEST(BaselineMc, Ecc2MatchesAnalyticalAtAcceleratedBer) {
-  EccKCache cache(1u << 12, 2);
-  BaselineMcConfig cfg;
-  cfg.ber = 3e-4;
-  cfg.max_intervals = 2000;
+  auto cfg = baseline_config([] { return std::make_unique<EccKCache>(1u << 12, 2); }, 3e-4, 2000);
   cfg.seed = 11;
-  const auto mc = run_baseline_mc(cache, cfg);
+  const auto mc = reliability::run_montecarlo(cfg);
   reliability::CacheParams ap;
   ap.num_lines = 1u << 12;
-  ap.ber = cfg.ber;
+  ap.ber = cfg.cache.ber;
   const auto an = reliability::ecc_k(ap, 2);
   ASSERT_GT(mc.failure_intervals, 10u);
   const double ratio = mc.p_failure_per_interval() / an.p_interval();
@@ -282,11 +289,8 @@ TEST(BaselineMc, Ecc2MatchesAnalyticalAtAcceleratedBer) {
 }
 
 TEST(BaselineMc, CppcFailsConstantlyAtHighBer) {
-  CppcCache cache(1u << 12);
-  BaselineMcConfig cfg;
-  cfg.ber = 3e-4;
-  cfg.max_intervals = 100;
-  const auto mc = run_baseline_mc(cache, cfg);
+  const auto mc = reliability::run_montecarlo(
+      baseline_config([] { return std::make_unique<CppcCache>(1u << 12); }, 3e-4, 100));
   EXPECT_GT(mc.p_failure_per_interval(), 0.3);
 }
 
@@ -294,26 +298,20 @@ TEST(BaselineMc, OrderingCppcWorstRaid6Better) {
   // At this BER the whole-cache pairing probability is ~19 per interval for
   // CPPC (always failing) while RAID-6's per-group triple probability is
   // only a few percent.
-  BaselineMcConfig cfg;
-  cfg.ber = 1e-4;
-  cfg.max_intervals = 200;
-  CppcCache cppc(1u << 12);
-  Raid6Cache raid6(1u << 12, 128);
-  const auto r_cppc = run_baseline_mc(cppc, cfg);
-  const auto r_raid6 = run_baseline_mc(raid6, cfg);
+  const auto r_cppc = reliability::run_montecarlo(
+      baseline_config([] { return std::make_unique<CppcCache>(1u << 12); }, 1e-4, 200));
+  const auto r_raid6 = reliability::run_montecarlo(
+      baseline_config([] { return std::make_unique<Raid6Cache>(1u << 12, 128); }, 1e-4, 200));
   EXPECT_GT(r_cppc.failure_intervals, r_raid6.failure_intervals);
 }
 
 TEST(BaselineMc, NoSdcInParityBasedSchemes) {
-  BaselineMcConfig cfg;
-  cfg.ber = 2e-4;
-  cfg.max_intervals = 100;
-  Raid6Cache raid6(1u << 12, 128);
-  const auto r = run_baseline_mc(raid6, cfg);
-  EXPECT_EQ(r.sdc_units, 0u);
-  TwoDpCache twodp(1u << 12, 128);
-  const auto r2 = run_baseline_mc(twodp, cfg);
-  EXPECT_EQ(r2.sdc_units, 0u);
+  const auto r = reliability::run_montecarlo(
+      baseline_config([] { return std::make_unique<Raid6Cache>(1u << 12, 128); }, 2e-4, 100));
+  EXPECT_EQ(r.sdc_lines, 0u);
+  const auto r2 = reliability::run_montecarlo(
+      baseline_config([] { return std::make_unique<TwoDpCache>(1u << 12, 128); }, 2e-4, 100));
+  EXPECT_EQ(r2.sdc_lines, 0u);
 }
 
 }  // namespace

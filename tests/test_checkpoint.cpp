@@ -14,9 +14,9 @@
 #include <string>
 #include <thread>
 
+#include "common/json_parse.h"
 #include "exp/atomic_file.h"
 #include "exp/checkpoint.h"
-#include "exp/json_parse.h"
 #include "exp/mc_experiments.h"
 #include "exp/metrics_io.h"
 #include "exp/result_sink.h"
@@ -253,9 +253,14 @@ TEST(CheckpointCodec, RejectsTornAndAlienPayloads) {
   EXPECT_FALSE(decode_mc_result("not json").has_value());
   EXPECT_FALSE(decode_mc_result(payload.substr(0, payload.size() / 2)).has_value());
   EXPECT_FALSE(decode_mc_result("{\"v\":999}").has_value());
-  EXPECT_FALSE(decode_mc_result("{\"v\":1,\"intervals\":5}").has_value());
-  // Baseline decoder must not accept an MC payload (missing fields).
-  EXPECT_FALSE(decode_baseline_mc_result(payload).has_value());
+  EXPECT_FALSE(decode_mc_result("{\"v\":2,\"intervals\":5}").has_value());
+  // A complete payload from a version-1 store (either of the old
+  // per-harness codecs) is recomputed, not misparsed.
+  std::string v1 = payload;
+  const std::string tag = "\"v\":2,";
+  ASSERT_EQ(v1.find(tag), 1u);
+  v1.replace(1, tag.size(), "\"v\":1,");
+  EXPECT_FALSE(decode_mc_result(v1).has_value());
 }
 
 // ---- kill-and-resume determinism ---------------------------------------

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -208,21 +209,19 @@ TEST(ExpEngine, McResultIdenticalAcrossThreadCounts) {
 }
 
 TEST(ExpEngine, BaselineResultIdenticalAcrossThreadCounts) {
-  baselines::BaselineMcConfig cfg;
-  cfg.ber = 2e-4;
+  McConfig cfg;
+  cfg.scheme = [] { return std::make_unique<baselines::CppcCache>(1ull << 12); };
+  cfg.cache.ber = 2e-4;
   cfg.max_intervals = 96;
   cfg.seed = 5;
-  const SchemeFactory factory = [] {
-    return std::make_unique<baselines::CppcCache>(1ull << 12);
-  };
-  const auto r1 = run_baseline_mc_parallel(factory, cfg, {.threads = 1, .chunk = 16});
-  const auto r8 = run_baseline_mc_parallel(factory, cfg, {.threads = 8, .chunk = 16});
+  const auto r1 = run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 16});
+  const auto r8 = run_montecarlo_parallel(cfg, {.threads = 8, .chunk = 16});
   EXPECT_EQ(r1.intervals, cfg.max_intervals);
   EXPECT_GT(r1.failure_intervals, 0u);  // CPPC fails nearly every interval
   EXPECT_EQ(r1.faults_injected, r8.faults_injected);
   EXPECT_EQ(r1.corrected, r8.corrected);
-  EXPECT_EQ(r1.due_units, r8.due_units);
-  EXPECT_EQ(r1.sdc_units, r8.sdc_units);
+  EXPECT_EQ(r1.due_lines, r8.due_lines);
+  EXPECT_EQ(r1.sdc_lines, r8.sdc_lines);
   EXPECT_EQ(r1.failure_intervals, r8.failure_intervals);
 }
 

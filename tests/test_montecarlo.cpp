@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/macros.h"
 #include "reliability/analytical.h"
 
 namespace sudoku::reliability {
@@ -90,6 +91,30 @@ TEST(MonteCarlo, DeterministicForSeed) {
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.due_lines, b.due_lines);
   EXPECT_EQ(a.ecc1_corrections, b.ecc1_corrections);
+}
+
+TEST(MonteCarlo, RegistryRepairCountsMatchResultOnIidRun) {
+  // The refill of DUE lines must not re-run the repair ladder: every
+  // sudoku.repair.* event the registry holds is one the scrub counted.
+  if (!SUDOKU_OBS_ENABLED) GTEST_SKIP() << "built without observability";
+  McConfig cfg;
+  cfg.cache.num_lines = 4096;
+  cfg.cache.group_size = 64;
+  cfg.cache.ber = 2e-4;
+  cfg.level = SudokuLevel::kX;
+  cfg.max_intervals = 600;
+  cfg.seed = 17;
+  const auto r = run_montecarlo(cfg);
+  ASSERT_GT(r.due_lines, 0u);  // the refill path must actually run
+  const auto count = [&r](const char* name) {
+    const obs::Counter* c = r.metrics.find_counter(name);
+    return c ? c->value() : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(count("sudoku.repair.ecc1"), r.ecc1_corrections);
+  EXPECT_EQ(count("sudoku.repair.raid4"), r.raid4_repairs);
+  EXPECT_EQ(count("sudoku.repair.sdr"), r.sdr_repairs);
+  EXPECT_EQ(count("sudoku.repair.hash2"), r.hash2_invocations);
+  EXPECT_EQ(count("sudoku.repair.groups"), r.groups_repaired);
 }
 
 TEST(MonteCarlo, FitAndMttfConversions) {

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "baselines/ecck_cache.h"
-#include "baselines/mc_runner.h"
 #include "faults/scenario.h"
 #include "reliability/montecarlo.h"
 #include "sudoku/controller.h"
@@ -364,33 +364,31 @@ TEST(ScenarioMc, ShardSplitIsBitIdenticalToMonolithicRun) {
 }
 
 TEST(ScenarioMc, BaselineRunnerShardSplitMatchesToo) {
-  baselines::EccKCache cache(256, 4);
-  const Geometry geo{cache.num_units(), cache.bits_per_unit()};
+  const baselines::EccKCache probe(256, 4);
+  const Geometry geo{probe.num_units(), probe.bits_per_unit()};
   const FaultScenario scenario(ScenarioSpec::builtin("clustered"), geo, 55);
 
-  baselines::BaselineMcConfig cfg;
+  reliability::McConfig cfg;
+  cfg.scheme = [] { return std::make_unique<baselines::EccKCache>(256, 4); };
   cfg.seed = 55;
   cfg.per_trial_seed_streams = true;
   cfg.scenario = &scenario;
 
   cfg.max_intervals = 40;
   cfg.first_trial = 0;
-  baselines::EccKCache whole_cache(256, 4);
-  const auto whole = baselines::run_baseline_mc(whole_cache, cfg);
+  const auto whole = reliability::run_montecarlo(cfg);
 
   cfg.max_intervals = 17;
-  baselines::EccKCache a_cache(256, 4);
-  auto merged = baselines::run_baseline_mc(a_cache, cfg);
+  auto merged = reliability::run_montecarlo(cfg);
   cfg.first_trial = 17;
   cfg.max_intervals = 23;
-  baselines::EccKCache b_cache(256, 4);
-  merged += baselines::run_baseline_mc(b_cache, cfg);
+  merged += reliability::run_montecarlo(cfg);
 
   EXPECT_EQ(whole.intervals, merged.intervals);
   EXPECT_EQ(whole.faults_injected, merged.faults_injected);
   EXPECT_EQ(whole.corrected, merged.corrected);
-  EXPECT_EQ(whole.due_units, merged.due_units);
-  EXPECT_EQ(whole.sdc_units, merged.sdc_units);
+  EXPECT_EQ(whole.due_lines, merged.due_lines);
+  EXPECT_EQ(whole.sdc_lines, merged.sdc_lines);
   EXPECT_EQ(whole.failure_intervals, merged.failure_intervals);
 }
 
