@@ -20,6 +20,7 @@ reliability::UnitScrubStats batch_scrub_bch(const Bch& bch, SttramArray& array,
       case Bch::DecodeStatus::kCorrected:
         array.write_line(unit, cw);  // note: may be a miscorrection (SDC)
         ++stats.corrected;
+        stats.repaired_unit_ids.push_back(unit);
         break;
       case Bch::DecodeStatus::kUncorrectable:
         ++stats.due_units;

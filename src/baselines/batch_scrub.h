@@ -18,7 +18,8 @@
 namespace sudoku::baselines {
 
 // Scrub `units` of `array` (one codeword per unit) with `bch`:
-// kCorrected units are written back, kUncorrectable ones recorded as DUE.
+// kCorrected units are written back and listed as repaired, kUncorrectable
+// ones recorded as DUE.
 // Batches of up to BitPlanes::kMaxLines; below `min_batch` units the
 // per-unit word-Horner path is cheaper and is used instead.
 reliability::UnitScrubStats batch_scrub_bch(const Bch& bch, SttramArray& array,

@@ -12,7 +12,8 @@ RegionEccCache::RegionEccCache(std::uint64_t num_lines, const EccDesign& design)
       bch_(make_bch(design)),
       lines_per_region_(design.lines_per_codeword()),
       array_(num_lines / design.lines_per_codeword(),
-             static_cast<std::uint32_t>(bch_.codeword_bits())) {
+             static_cast<std::uint32_t>(bch_.codeword_bits())),
+      lost_(num_lines) {
   if (num_lines == 0 || num_lines % lines_per_region_ != 0) {
     throw std::invalid_argument(
         "RegionEccCache: num_lines must be a positive multiple of " +
@@ -29,7 +30,14 @@ std::string RegionEccCache::name() const {
   return "Region(ECC-" + std::to_string(design_.t) + "/" + design_.name + ")";
 }
 
+void RegionEccCache::clear_lost(std::uint64_t first_line, std::uint64_t count) {
+  for (std::uint64_t l = first_line; l < first_line + count; ++l) {
+    lost_[l].store(false, std::memory_order_relaxed);
+  }
+}
+
 void RegionEccCache::format_random(Rng& rng) {
+  clear_lost(0, lost_.size());
   BitVec cw(bch_.codeword_bits());
   for (std::uint64_t region = 0; region < array_.num_lines(); ++region) {
     cw.clear();
@@ -48,27 +56,37 @@ reliability::UnitScrubStats RegionEccCache::scrub_units(std::span<const std::uin
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
 }
 
-RegionEccCache::LineRead RegionEccCache::read_line_data(std::uint64_t line) {
+void RegionEccCache::restore_units(std::span<const std::uint64_t> units,
+                                   const SttramArray& golden) {
+  for (const auto unit : units) clear_lost(unit * lines_per_region_, lines_per_region_);
+  CacheScheme::restore_units(units, golden);
+}
+
+ReadReply RegionEccCache::read_line_data(std::uint64_t line) {
   const std::uint64_t region = line / lines_per_region_;
   const std::uint32_t base = (line % lines_per_region_) * kLineDataBits;
   BitVec cw = array_.read_line(region);
   ++io_.line_reads;
   ++io_.region_decodes;
   io_.stored_bits_read += bch_.codeword_bits();
-  LineRead out;
+  ReadReply out;
   out.data = BitVec(kLineDataBits);
   switch (bch_.decode(cw).status) {
     case Bch::DecodeStatus::kClean:
-      out.status = LineReadStatus::kClean;
+      out.status = ReadStatus::kClean;
       break;
     case Bch::DecodeStatus::kCorrected:
       array_.write_line(region, cw);  // scrub-on-read, like the controller
       io_.stored_bits_written += bch_.codeword_bits();
-      out.status = LineReadStatus::kCorrected;
+      out.status = ReadStatus::kCorrected;
       break;
     case Bch::DecodeStatus::kUncorrectable:
-      out.status = LineReadStatus::kDue;  // the whole region is lost
+      out.status = ReadStatus::kDue;  // the whole region is lost
       return out;
+  }
+  if (lost_[line].load(std::memory_order_relaxed)) {
+    out.status = ReadStatus::kDue;
+    return out;
   }
   for (std::uint32_t i = 0; i < kLineDataBits; i += 64) {
     out.data.set_bits(i, 64, cw.get_bits(base + i, 64));
@@ -80,11 +98,18 @@ void RegionEccCache::write_line_data(std::uint64_t line, const BitVec& data512) 
   const std::uint64_t region = line / lines_per_region_;
   const std::uint32_t base = (line % lines_per_region_) * kLineDataBits;
   // Region read-modify-write. Correct the old content first so the other
-  // lines survive; an uncorrectable region has already lost them, and
-  // re-encoding over whatever is stored resynchronises the parity (same
-  // semantics as SudokuController::write_data over a lost line).
+  // lines survive. An uncorrectable region has already lost them:
+  // re-encoding over whatever is stored resynchronises the parity, so each
+  // sibling is marked lost and reads kDue from now on instead of serving
+  // corrupted data as clean.
   BitVec cw = array_.read_line(region);
-  bch_.decode(cw);
+  if (bch_.decode(cw).status == Bch::DecodeStatus::kUncorrectable) {
+    for (std::uint64_t l = region * lines_per_region_;
+         l < (region + 1) * lines_per_region_; ++l) {
+      lost_[l].store(true, std::memory_order_relaxed);
+    }
+  }
+  lost_[line].store(false, std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < kLineDataBits; i += 64) {
     cw.set_bits(base + i, 64, data512.get_bits(i, 64));
   }
@@ -101,6 +126,7 @@ bool RegionEccCache::probe_clean_line(std::uint64_t line, BitVec& cw_scratch,
                                       BitVec& data_out) const {
   const std::uint64_t region = line / lines_per_region_;
   const std::uint32_t base = (line % lines_per_region_) * kLineDataBits;
+  if (lost_[line].load(std::memory_order_relaxed)) return false;
   array_.read_line(region, cw_scratch);
   if (!bch_.syndromes_zero(cw_scratch)) return false;
   if (data_out.size() != kLineDataBits) data_out.resize(kLineDataBits);
@@ -112,6 +138,7 @@ bool RegionEccCache::probe_clean_line(std::uint64_t line, BitVec& cw_scratch,
 
 void RegionEccCache::format_lines(
     const std::function<BitVec(std::uint64_t)>& make_data) {
+  clear_lost(0, lost_.size());
   BitVec cw(bch_.codeword_bits());
   for (std::uint64_t region = 0; region < array_.num_lines(); ++region) {
     cw.clear();

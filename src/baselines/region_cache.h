@@ -13,7 +13,9 @@
 // closed form.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <vector>
 
 #include "reliability/scheme.h"
 #include "codes/bch.h"
@@ -64,32 +66,24 @@ class RegionEccCache : public reliability::CacheScheme {
   const RegionIoStats& io_stats() const { return io_; }
   void reset_io_stats() { io_ = RegionIoStats{}; }
 
-  // ---- line-granular data path (used by the concurrent service and the
-  // frontier bench) ----
+  void restore_units(std::span<const std::uint64_t> units,
+                     const SttramArray& golden) override;
+
+  // ---- line data path (reliability/scheme.h) ----
   // The stored region is a systematic BCH codeword ([data | parity]); line
   // k of a region occupies data bits [(k % lines_per_region)·512, +512). A
   // line read decodes the whole region (that is the scheme's cost model:
-  // one ECC unit per codeword); a line write is a region read-modify-write
-  // that re-encodes the parity.
-  enum class LineReadStatus { kClean, kCorrected, kDue };
-  struct LineRead {
-    BitVec data;  // 512 bits; zero when kDue
-    LineReadStatus status = LineReadStatus::kClean;
-  };
-  std::uint64_t num_data_lines() const {
+  // one ECC unit per codeword) and writes a corrected region back; a line
+  // write is a region read-modify-write that re-encodes the parity. The
+  // probe checks the region's syndromes.
+  std::uint64_t num_data_lines() const override {
     return array_.num_lines() * lines_per_region_;
   }
-  LineRead read_line_data(std::uint64_t line);
-  void write_line_data(std::uint64_t line, const BitVec& data512);
-  // Side-effect-free clean probe for the service's lock-free fast path:
-  // copy line's region into `cw_scratch`; iff its syndromes are clean,
-  // extract the line's data into `data_out` and return true. Tolerates
-  // torn images (caller validates against its seqlock epoch).
+  void format_lines(const std::function<BitVec(std::uint64_t)>& make_data) override;
+  ReadReply read_line_data(std::uint64_t line) override;
+  void write_line_data(std::uint64_t line, const BitVec& data512) override;
   bool probe_clean_line(std::uint64_t line, BitVec& cw_scratch,
-                        BitVec& data_out) const;
-  // Fill every line from `make_data(line)` (the service's deterministic
-  // format hook; format_random remains the MC harness entry point).
-  void format_lines(const std::function<BitVec(std::uint64_t)>& make_data);
+                        BitVec& data_out) const override;
 
   static constexpr std::uint32_t kLineDataBits = 512;
 
@@ -99,6 +93,14 @@ class RegionEccCache : public reliability::CacheScheme {
   std::uint32_t lines_per_region_;
   SttramArray array_;  // one "line" per codeword region
   RegionIoStats io_;
+  // Per data line: its region was uncorrectable when a sibling line was
+  // written, so the re-encoded parity now covers corrupted data. Such a
+  // line reads kDue until it is written again (or the array is formatted
+  // or restored), never clean-but-wrong. Atomic because probe_clean_line
+  // reads it while a mutator may run.
+  std::vector<std::atomic<bool>> lost_;
+
+  void clear_lost(std::uint64_t first_line, std::uint64_t count);
 };
 
 }  // namespace sudoku::baselines

@@ -5,10 +5,10 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/prob.h"
 #include "obs/macros.h"
+#include "reliability/sudoku_scheme.h"
 #include "sttram/fault_injector.h"
 
 namespace sudoku::reliability {
@@ -49,63 +49,6 @@ std::string McResult::summary() const {
 }
 
 namespace {
-
-// SuDoku X/Y/Z behind the scheme interface.
-class SudokuScheme final : public CacheScheme {
- public:
-  explicit SudokuScheme(const McConfig& config) : ctrl_(make_config(config)) {}
-
-  std::string name() const override { return to_string(ctrl_.config().level); }
-  SttramArray& array() override { return ctrl_.array(); }
-  const SttramArray& array() const override { return ctrl_.array(); }
-  void format_random(Rng& rng) override { ctrl_.format_random(rng); }
-
-  UnitScrubStats scrub_units(std::span<const std::uint64_t> units) override {
-    ScrubStats s = ctrl_.scrub_lines(units);
-    UnitScrubStats out;
-    out.corrected = s.ecc1_corrections + s.raid4_repairs + s.sdr_repairs;
-    out.due_units = s.due_lines;
-    out.due_unit_ids = std::move(s.due_line_ids);
-    out.ecc1_corrections = s.ecc1_corrections;
-    out.raid4_repairs = s.raid4_repairs;
-    out.sdr_repairs = s.sdr_repairs;
-    out.hash2_invocations = s.hash2_invocations;
-    out.groups_repaired = s.groups_repaired;
-    return out;
-  }
-
-  void restore_units(std::span<const std::uint64_t> units,
-                     const SttramArray& golden) override {
-    CacheScheme::restore_units(units, golden);
-    ctrl_.rebuild_parities_for(units);
-  }
-
-  void write_random(std::uint64_t unit, Rng& rng) override {
-    BitVec data(LineCodec::kDataBits);
-    for (auto& word : data.words()) word = rng.next_u64();
-    ctrl_.write_data(unit, data);
-  }
-
-  void attach_metrics(obs::MetricsRegistry* registry) override {
-    ctrl_.attach_metrics(registry);
-  }
-
-  LoopSeries loop_series() const override {
-    return {"mc.intervals", "mc.sdc_lines", "mc.failure_intervals",
-            "mc.faults_per_interval", nullptr, nullptr};
-  }
-
- private:
-  static SudokuConfig make_config(const McConfig& config) {
-    SudokuConfig c;
-    c.geo.num_lines = config.cache.num_lines;
-    c.geo.group_size = config.cache.group_size;
-    c.level = config.level;
-    return c;
-  }
-
-  SudokuController ctrl_;
-};
 
 // The loop's instruments; all null when observability is compiled out.
 struct LoopInstruments {
@@ -184,6 +127,7 @@ McResult run_intervals(CacheScheme& scheme, const McConfig& config) {
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> dirty;
   BitVec golden_unit(scheme.bits_per_unit());
+  BitVec payload(LineCodec::kDataBits);  // §VIII-B host-write data line
   for (std::uint64_t interval = 0; interval < config.max_intervals; ++interval) {
     if (config.stop_hook && config.stop_hook()) break;
     const std::uint64_t t = config.first_trial + interval;
@@ -214,7 +158,7 @@ McResult run_intervals(CacheScheme& scheme, const McConfig& config) {
     }
     result.faults_injected += flips;
     OBS_OBSERVE(m.faults_per_interval, flips);
-    FaultInjector::apply(batch, scheme.array());
+    scheme.inject(batch);
     stuck.assert_on(scheme.array());
 
     touched.clear();
@@ -231,8 +175,10 @@ McResult run_intervals(CacheScheme& scheme, const McConfig& config) {
       // to the scheme, which is the paper's point.
       const std::uint32_t width = scheme.bits_per_unit();
       for (std::uint64_t w = 0; w < config.host_writes_per_interval; ++w) {
-        const std::uint64_t unit = rng.next_below(scheme.num_units());
-        scheme.write_random(unit, rng);
+        const std::uint64_t line = rng.next_below(scheme.num_data_lines());
+        for (auto& word : payload.words()) word = rng.next_u64();
+        scheme.write_line_data(line, payload);
+        const std::uint64_t unit = scheme.unit_of_line(line);
         golden.write_line(unit, scheme.array().read_line(unit));
         const std::uint64_t nflips = rng.next_binomial(width, config.wer);
         for (std::uint64_t f = 0; f < nflips; ++f) {
@@ -301,30 +247,13 @@ McResult run_intervals(CacheScheme& scheme, const McConfig& config) {
 
 }  // namespace
 
-void CacheScheme::restore_units(std::span<const std::uint64_t> units,
-                                const SttramArray& golden) {
-  BitVec line(bits_per_unit());
-  for (const auto unit : units) {
-    golden.read_line(unit, line);
-    array().write_line(unit, line);
-  }
-}
-
-void CacheScheme::write_random(std::uint64_t unit, Rng& rng) {
-  (void)unit;
-  (void)rng;
-  throw std::logic_error(name() + " has no host write path");
-}
-
-LoopSeries CacheScheme::loop_series() const {
-  return {"baseline.intervals",        "baseline.sdc_units",
-          "baseline.failure_intervals", "baseline.faults_per_interval",
-          "baseline.corrected",        "baseline.due_units"};
-}
-
 McResult run_montecarlo(const McConfig& config) {
+  SudokuConfig sudoku;
+  sudoku.geo.num_lines = config.cache.num_lines;
+  sudoku.geo.group_size = config.cache.group_size;
+  sudoku.level = config.level;
   const std::unique_ptr<CacheScheme> scheme =
-      config.scheme ? config.scheme() : std::make_unique<SudokuScheme>(config);
+      config.scheme ? config.scheme() : std::make_unique<SudokuScheme>(sudoku);
   return run_intervals(*scheme, config);
 }
 

@@ -54,8 +54,8 @@ struct McConfig {
   // flips every written bit with probability `wer` (write error rate).
   // SuDoku does not distinguish write errors from retention errors; with
   // wer ≈ retention BER the reliability should be similar. No bench sets
-  // it; tests/test_integration.cpp does. SuDoku only
-  // (CacheScheme::write_random).
+  // it; tests/test_integration.cpp does. Needs a scheme with a line data
+  // path (CacheScheme::write_line_data).
   std::uint64_t host_writes_per_interval = 0;
   double wer = 0.0;
 

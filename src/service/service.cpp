@@ -31,7 +31,7 @@ MemoryService::MemoryService(const ServiceConfig& config,
     shard->retired_count = shard->registry.counter("service.retired_lines");
     shard->pool_exhausted =
         shard->registry.counter("service.retire.pool_exhausted");
-    const std::uint64_t nlines = shard->backend->num_lines();
+    const std::uint64_t nlines = shard->backend->num_data_lines();
     shard->retired =
         std::make_unique<std::atomic<std::int32_t>[]>(nlines);
     for (std::uint64_t i = 0; i < nlines; ++i) {
@@ -40,9 +40,9 @@ MemoryService::MemoryService(const ServiceConfig& config,
     shard->backend->attach_metrics(&shard->registry);
     shards_.push_back(std::move(shard));
   }
-  lines_per_bank_ = shards_.front()->backend->num_lines();
+  lines_per_bank_ = shards_.front()->backend->num_data_lines();
   for (const auto& shard : shards_) {
-    assert(shard->backend->num_lines() == lines_per_bank_);
+    assert(shard->backend->num_data_lines() == lines_per_bank_);
     (void)shard;
   }
 
@@ -71,7 +71,7 @@ MemoryService::~MemoryService() {
 void MemoryService::format(
     const std::function<BitVec(std::uint32_t, std::uint64_t)>& make_data) {
   for (std::uint32_t bank = 0; bank < banks(); ++bank) {
-    shards_[bank]->backend->format(
+    shards_[bank]->backend->format_lines(
         [&](std::uint64_t line) { return make_data(bank, line); });
   }
 }
@@ -99,7 +99,7 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
     for (std::uint32_t attempt = 0; attempt < fast_read_attempts_; ++attempt) {
       const std::uint64_t e1 = shard.epoch.load(std::memory_order_acquire);
       if (e1 & 1) break;  // mutator active; don't burn retries
-      const bool clean = shard.backend->try_clean_read(
+      const bool clean = shard.backend->probe_clean_line(
           line, stats.stored_scratch_, stats.data_scratch_);
       std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t e2 = shard.epoch.load(std::memory_order_relaxed);
@@ -123,7 +123,7 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
     stats.read_retired_->inc();
     return shard.spare_valid[slot] ? ReadStatus::kClean : ReadStatus::kDue;
   }
-  ReadReply reply = shard.backend->read(line);
+  ReadReply reply = shard.backend->read_line_data(line);
   data_out = std::move(reply.data);
   if (r == kUnmappedLine) {
     // Retired without a spare: degraded in place, every read is a demand
@@ -153,7 +153,7 @@ void MemoryService::write(std::uint64_t addr, const BitVec& data512,
   // for retired lines (keeps the unmapped demand-correct path and the
   // relaxed fast-path race analysis honest); a mapped retired line's spare
   // is the authoritative copy and is updated in the same bracket.
-  shard.backend->write(line, data512);
+  shard.backend->write_line_data(line, data512);
   const std::int32_t r = shard.retired[line].load(std::memory_order_relaxed);
   if (r >= 0) {
     const auto slot = static_cast<std::uint32_t>(r);
@@ -169,7 +169,7 @@ void MemoryService::assert_stuck(std::uint32_t bank,
   BankShard& shard = *shards_[bank];
   {
     MutatorGuard guard(shard);
-    faults::assert_cells(shard.backend->raw_array(), cells);
+    faults::assert_cells(shard.backend->array(), cells);
   }
   if (!scrub_async || cells.empty()) return;
   RepairTask task;
@@ -228,13 +228,13 @@ std::uint64_t MemoryService::execute_scrub(BankShard& shard,
   MutatorGuard guard(shard);
   const std::uint64_t scanned =
       task.full_sweep ? shard.backend->num_units() : task.units.size();
-  const ScrubReport report = task.full_sweep
-                                 ? shard.backend->scrub_all_report()
-                                 : shard.backend->scrub_units_report(task.units);
+  const reliability::UnitScrubStats report =
+      task.full_sweep ? shard.backend->scrub_all()
+                      : shard.backend->scrub_units(task.units);
   shard.scrub_units->inc(scanned);
-  shard.scrub_due->inc(report.due);
+  shard.scrub_due->inc(report.due_units);
   if (retire_strikes_ > 0) apply_scrub_report_locked(shard, task, report);
-  return report.due;
+  return report.due_units;
 }
 
 void MemoryService::note_strike_locked(BankShard& shard, std::uint64_t line) {
@@ -249,7 +249,7 @@ void MemoryService::retire_line_locked(BankShard& shard, std::uint64_t line) {
     // Snapshot through the full read path: a correctable line yields its
     // repaired payload; an uncorrectable one yields zeros (the data was
     // already lost and reported as DUE before we got here).
-    ReadReply snapshot = shard.backend->read(line);
+    ReadReply snapshot = shard.backend->read_line_data(line);
     const auto slot = static_cast<std::int32_t>(shard.spares.size());
     shard.spares.push_back(std::move(snapshot.data));
     shard.spare_valid.push_back(snapshot.status != ReadStatus::kDue ? 1 : 0);
@@ -260,18 +260,16 @@ void MemoryService::retire_line_locked(BankShard& shard, std::uint64_t line) {
   }
 }
 
-void MemoryService::apply_scrub_report_locked(BankShard& shard,
-                                              const RepairTask& task,
-                                              const ScrubReport& report) {
+void MemoryService::apply_scrub_report_locked(
+    BankShard& shard, const RepairTask& task,
+    const reliability::UnitScrubStats& report) {
   // Dirty units strike every line they protect; units scanned clean reset
   // their lines' strike counts (a repeat offender must be *consecutively*
-  // dirty). lpu maps fault units to data lines (1 for SuDoku, 16 for
-  // Hi-ECC regions).
-  const std::uint64_t lpu =
-      shard.backend->num_lines() / shard.backend->num_units();
-  std::vector<std::uint64_t> dirty(report.due_units);
-  dirty.insert(dirty.end(), report.repaired_units.begin(),
-               report.repaired_units.end());
+  // dirty). lpu is 1 for SuDoku, 16 for Hi-ECC regions.
+  const std::uint64_t lpu = shard.backend->lines_per_unit();
+  std::vector<std::uint64_t> dirty(report.due_unit_ids);
+  dirty.insert(dirty.end(), report.repaired_unit_ids.begin(),
+               report.repaired_unit_ids.end());
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 

@@ -1,19 +1,22 @@
 // Concurrent resilient-memory service (docs/service.md): a thread-safe,
-// bank-sharded front end over the SuDoku controllers and the Hi-ECC
-// baseline. Many client threads issue reads and writes against a global
-// line-interleaved address space while background workers execute scrub
-// sweeps and queued repairs — the regime where scrub/repair contention
-// decides whether a resilience scheme is viable at scale.
+// bank-sharded front end over one reliability::CacheScheme per bank —
+// SuDoku X/Y/Z or the Hi-ECC baseline, driven through the scheme's line
+// data path (reliability/scheme.h). Many client threads issue reads and
+// writes against a global line-interleaved address space while background
+// workers execute scrub sweeps and queued repairs — the regime where
+// scrub/repair contention decides whether a resilience scheme is viable at
+// scale.
 //
 // Concurrency architecture:
-//  * BankShard — each bank owns its backend (storage + codec state), a
+//  * BankShard — each bank owns its scheme (storage + codec state), a
 //    mutex serialising every mutator, and a seqlock epoch (even = stable,
 //    odd = mutator active). Mutators bracket their work with begin/end
 //    epoch bumps while holding the mutex.
-//  * Lock-free clean-read fast path — a reader snapshots the epoch, copies
-//    the line and checks full codec consistency without any lock, then
-//    re-validates the epoch: unchanged-and-even proves no mutator
-//    overlapped, so the copy is untorn and current. Any other outcome
+//  * Lock-free clean-read fast path — a reader snapshots the epoch, runs
+//    the scheme's probe_clean_line (copy the stored unit, check full codec
+//    consistency) without any lock, then re-validates the epoch:
+//    unchanged-and-even proves no mutator overlapped, so the copy is
+//    untorn and current. Any other outcome
 //    falls back to the locked path. Clean reads (the overwhelming majority
 //    at real BERs) therefore never contend with each other or with reads
 //    on other banks.
@@ -252,7 +255,7 @@ class MemoryService {
   void note_strike_locked(BankShard& shard, std::uint64_t line);
   void retire_line_locked(BankShard& shard, std::uint64_t line);
   void apply_scrub_report_locked(BankShard& shard, const RepairTask& task,
-                                 const ScrubReport& report);
+                                 const reliability::UnitScrubStats& report);
 
   std::vector<std::unique_ptr<BankShard>> shards_;
   std::uint64_t lines_per_bank_ = 0;

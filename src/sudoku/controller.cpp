@@ -183,16 +183,16 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   }
 }
 
-SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
+ReadReply SudokuController::read_data(std::uint64_t line) {
   BitVec stored = array_.read_line(line);
   switch (codec_.check_and_correct(stored)) {
     case LineCodec::LineState::kClean:
       OBS_INC(obs_.read_clean);
-      return {codec_.extract_data(stored), ReadOutcome::kClean};
+      return {codec_.extract_data(stored), ReadStatus::kClean};
     case LineCodec::LineState::kCorrected:
       array_.write_line(line, stored);  // scrub-on-read of the fixed bit
       OBS_INC(obs_.read_corrected);
-      return {codec_.extract_data(stored), ReadOutcome::kCorrected};
+      return {codec_.extract_data(stored), ReadStatus::kCorrected};
     case LineCodec::LineState::kUncorrectable:
       break;
   }
@@ -205,11 +205,11 @@ SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
   }
   if (std::find(losers.begin(), losers.end(), line) != losers.end()) {
     OBS_INC(obs_.read_due);
-    return {BitVec(LineCodec::kDataBits), ReadOutcome::kDue};
+    return {BitVec(LineCodec::kDataBits), ReadStatus::kDue};
   }
   stored = array_.read_line(line);
   OBS_INC(obs_.read_repaired);
-  return {codec_.extract_data(stored), ReadOutcome::kRepaired};
+  return {codec_.extract_data(stored), ReadStatus::kRepaired};
 }
 
 bool SudokuController::raid4_reconstruct(std::uint64_t group, int which_hash,

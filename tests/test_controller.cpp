@@ -52,7 +52,7 @@ TEST(Controller, ReadBackAfterFormat) {
   });
   for (const std::uint64_t line : {0ull, 100ull, 1023ull}) {
     const auto res = c.read_data(line);
-    EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kClean);
+    EXPECT_EQ(res.status, ReadStatus::kClean);
     EXPECT_EQ(res.data, golden[line]);
   }
 }
@@ -77,10 +77,10 @@ TEST(Controller, SingleBitFaultCorrectedOnRead) {
   const BitVec want = c.read_data(5).data;
   c.array().flip(5, 17);
   const auto res = c.read_data(5);
-  EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kCorrected);
+  EXPECT_EQ(res.status, ReadStatus::kCorrected);
   EXPECT_EQ(res.data, want);
   // Scrub-on-read persisted the fix.
-  EXPECT_EQ(c.read_data(5).outcome, SudokuController::ReadOutcome::kClean);
+  EXPECT_EQ(c.read_data(5).status, ReadStatus::kClean);
 }
 
 TEST(Controller, MultiBitFaultRepairedByRaid4) {
@@ -91,7 +91,7 @@ TEST(Controller, MultiBitFaultRepairedByRaid4) {
   const BitVec want = c.read_data(40).data;
   inject(c, 40, 6, rng);
   const auto res = c.read_data(40);
-  EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kRepaired);
+  EXPECT_EQ(res.status, ReadStatus::kRepaired);
   EXPECT_EQ(res.data, want);
   EXPECT_TRUE(c.parities_consistent());
 }

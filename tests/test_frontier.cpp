@@ -141,10 +141,10 @@ TEST(RegionEccCache, LineDataPathRoundTripsWithRmwAccounting) {
   for (std::uint32_t i = 0; i < data.size(); i += 2) data.set(i);
   cache.write_line_data(9, data);  // region 1, slot 1
   const auto rd = cache.read_line_data(9);
-  EXPECT_EQ(rd.status, RegionEccCache::LineReadStatus::kClean);
+  EXPECT_EQ(rd.status, ReadStatus::kClean);
   EXPECT_EQ(rd.data, data);
   // Neighbouring line in the same region survived the RMW.
-  EXPECT_EQ(cache.read_line_data(10).status, RegionEccCache::LineReadStatus::kClean);
+  EXPECT_EQ(cache.read_line_data(10).status, ReadStatus::kClean);
 
   const auto& io = cache.io_stats();
   EXPECT_EQ(io.line_reads, 2u);
@@ -165,10 +165,10 @@ TEST(RegionEccCache, ScrubOnReadRepairsCorrectableRegion) {
   const BitVec golden = cache.array().read_line(0);
   inject(cache, 0, 2, rng);
   const auto rd = cache.read_line_data(3);  // any line of region 0
-  EXPECT_EQ(rd.status, RegionEccCache::LineReadStatus::kCorrected);
+  EXPECT_EQ(rd.status, ReadStatus::kCorrected);
   EXPECT_EQ(cache.array().read_line(0), golden);
   // Second read sees the repaired region.
-  EXPECT_EQ(cache.read_line_data(3).status, RegionEccCache::LineReadStatus::kClean);
+  EXPECT_EQ(cache.read_line_data(3).status, ReadStatus::kClean);
 }
 
 // ---------- Hi-ECC as the (1 KB, t) special case ----------

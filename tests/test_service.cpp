@@ -7,15 +7,18 @@
 //    the last write known complete before the read began;
 //  * drain() is a fence for the background repair queue;
 //  * the load generator's accounting adds up in both arrival modes;
-//  * the Hi-ECC backend's line-granular data path corrects/declares faults
-//    at its region granularity.
+//  * every scheme a bank can hold (SuDoku-Z, Hi-ECC) meets one line
+//    data-path contract, and Hi-ECC scrub corrections feed retirement.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "baselines/ecck_cache.h"
 #include "common/rng.h"
 #include "faults/scenario.h"
 #include "service/load_gen.h"
@@ -45,12 +48,19 @@ bool payload_intact(const BitVec& data, std::uint64_t addr, std::uint64_t* seq_o
   return true;
 }
 
-SudokuConfig small_z_config(std::uint64_t num_lines = 4096) {
+SudokuConfig small_z_config(std::uint64_t num_lines = 4096,
+                            std::uint32_t group_size = 64) {
   SudokuConfig cfg;
   cfg.geo.num_lines = num_lines;
-  cfg.geo.group_size = 64;
+  cfg.geo.group_size = group_size;
   cfg.level = SudokuLevel::kZ;
   return cfg;
+}
+
+bool parities_consistent(Backend& backend) {
+  return dynamic_cast<reliability::SudokuScheme&>(backend)
+      .controller()
+      .parities_consistent();
 }
 
 // ---- single-client determinism ----------------------------------------
@@ -86,7 +96,7 @@ TEST(ServiceDeterminism, SingleClientBitIdenticalToController) {
       const std::uint64_t line = script.next_below(cfg.geo.num_lines);
       const auto expect = ctrl.read_data(line);
       const ReadStatus got = svc.read(line, stats, svc_data);
-      ASSERT_EQ(static_cast<int>(got), static_cast<int>(expect.outcome))
+      ASSERT_EQ(static_cast<int>(got), static_cast<int>(expect.status))
           << "step " << step << " line " << line;
       ASSERT_EQ(svc_data, expect.data) << "step " << step << " line " << line;
     } else {
@@ -109,10 +119,10 @@ TEST(ServiceDeterminism, SingleClientBitIdenticalToController) {
   for (std::uint64_t line = 0; line < cfg.geo.num_lines; ++line) {
     const auto expect = ctrl.read_data(line);
     const ReadStatus got = svc.read(line, stats, svc_data);
-    ASSERT_EQ(static_cast<int>(got), static_cast<int>(expect.outcome)) << line;
+    ASSERT_EQ(static_cast<int>(got), static_cast<int>(expect.status)) << line;
     ASSERT_EQ(svc_data, expect.data) << line;
   }
-  EXPECT_EQ(svc.backend(0).consistent(), ctrl.parities_consistent());
+  EXPECT_EQ(parities_consistent(svc.backend(0)), ctrl.parities_consistent());
 }
 
 // ---- multi-client stress ----------------------------------------------
@@ -207,7 +217,7 @@ TEST(ServiceStress, NoLostWritesNoTornLinesUnderConcurrentScrub) {
   }
   for (std::uint32_t bank = 0; bank < kBanks; ++bank) {
     svc.scrub_bank_now(bank);
-    EXPECT_TRUE(svc.backend(bank).consistent()) << "bank " << bank;
+    EXPECT_TRUE(parities_consistent(svc.backend(bank))) << "bank " << bank;
   }
   std::uint64_t mismatches = 0;
   for (std::uint64_t addr = 0; addr < num_addrs; ++addr) {
@@ -464,58 +474,185 @@ TEST(LoadGen, OpenLoopWithInjectionRunsAndDrains) {
   EXPECT_GT(tasks->value(), 0u);  // injection queued background scrubs
 }
 
-// ---- Hi-ECC backend ---------------------------------------------------
+// ---- one data-path contract for every scheme that has one ------------
 
-TEST(HiEccBackend, LineRoundTripAndRegionGeometry) {
-  auto backend = make_hiecc_backend(256);
-  EXPECT_EQ(backend->num_lines(), 256u);
-  EXPECT_EQ(backend->num_units(), 16u);  // 16 lines per 1 KB region
-  EXPECT_EQ(backend->unit_of_line(0), 0u);
-  EXPECT_EQ(backend->unit_of_line(15), 0u);
-  EXPECT_EQ(backend->unit_of_line(16), 1u);
+// The schemes a bank can hold, built through the service's own factories.
+// `fixable` is a fault pattern on one unit that the inner code corrects
+// inline; `lost` is one that no repair survives when a quarter of the
+// units carry it at once.
+struct DataPathCase {
+  const char* name;
+  std::function<std::unique_ptr<Backend>()> make;
+  std::uint64_t lines_per_unit;
+  std::vector<std::uint32_t> fixable;
+  std::vector<std::uint32_t> lost;
+};
 
-  backend->format([](std::uint64_t line) { return payload(line, 0); });
-  for (const std::uint64_t line : {0ull, 15ull, 16ull, 255ull}) {
-    const ReadReply reply = backend->read(line);
-    EXPECT_EQ(static_cast<int>(reply.status), static_cast<int>(ReadStatus::kClean));
-    EXPECT_EQ(reply.data, payload(line, 0)) << line;
+const DataPathCase kDataPathCases[] = {
+    {"SudokuZ", [] { return make_sudoku_backend(small_z_config(256, 16)); }, 1,
+     {7}, {1, 2, 3, 200, 201, 202, 400, 401}},
+    {"HiEcc", [] { return make_hiecc_backend(256); }, 16,
+     {1, 100, 515, 3000, 7000, 8200}, {1, 2, 3, 600, 601, 602, 5000, 5001}},
+};
+
+void PrintTo(const DataPathCase& c, std::ostream* os) { *os << c.name; }
+
+class SchemeDataPath : public ::testing::TestWithParam<DataPathCase> {
+ protected:
+  void SetUp() override {
+    scheme_ = GetParam().make();
+    scheme_->format_lines([](std::uint64_t line) { return payload(line, 0); });
   }
 
-  // A write must leave the other 15 lines of its region intact.
-  backend->write(17, payload(17, 5));
-  EXPECT_EQ(backend->read(17).data, payload(17, 5));
-  EXPECT_EQ(backend->read(16).data, payload(16, 0));
-  EXPECT_EQ(backend->read(31).data, payload(31, 0));
+  // Faults `lost` into units [0, num_units/4) and returns those units.
+  std::vector<std::uint64_t> lose_first_quarter() {
+    FaultBatch batch;
+    std::vector<std::uint64_t> units;
+    for (std::uint64_t u = 0; u < scheme_->num_units() / 4; ++u) {
+      batch[u] = GetParam().lost;
+      units.push_back(u);
+    }
+    scheme_->inject(batch);
+    return units;
+  }
+
+  std::unique_ptr<Backend> scheme_;
+};
+
+TEST_P(SchemeDataPath, FormatThenReadRoundTrips) {
+  for (std::uint64_t line = 0; line < scheme_->num_data_lines(); ++line) {
+    const ReadReply reply = scheme_->read_line_data(line);
+    EXPECT_EQ(reply.status, ReadStatus::kClean) << line;
+    EXPECT_EQ(reply.data, payload(line, 0)) << line;
+  }
 }
 
-TEST(HiEccBackend, CorrectsUpToTAndDeclaresDueBeyond) {
-  auto backend = make_hiecc_backend(256);
-  backend->format([](std::uint64_t line) { return payload(line, 0); });
+TEST_P(SchemeDataPath, UnitOfLineFollowsTheGeometry) {
+  const Backend& s = *scheme_;
+  EXPECT_EQ(s.num_data_lines(), 256u);
+  EXPECT_EQ(s.num_data_lines() / s.num_units(), GetParam().lines_per_unit);
+  EXPECT_EQ(s.lines_per_unit(), GetParam().lines_per_unit);
+  for (std::uint64_t line = 0; line < s.num_data_lines(); ++line) {
+    EXPECT_EQ(s.unit_of_line(line), line / GetParam().lines_per_unit) << line;
+  }
+}
 
-  // 6 faults in region 2: within ECC-6's budget, read corrects in place.
-  FaultBatch six;
-  six[2] = {1, 100, 515, 3000, 7000, 8200};
-  backend->inject(six);
-  EXPECT_EQ(static_cast<int>(backend->read(32).status),
-            static_cast<int>(ReadStatus::kCorrected));
-  EXPECT_EQ(backend->read(32).data, payload(32, 0));
-  EXPECT_EQ(static_cast<int>(backend->read(33).status),
-            static_cast<int>(ReadStatus::kClean));  // read-scrub repaired it
-
-  // 8 faults in region 5: uncorrectable, every line of the region is lost.
-  FaultBatch eight;
-  eight[5] = {1, 2, 3, 600, 601, 602, 5000, 5001};
-  backend->inject(eight);
-  EXPECT_EQ(static_cast<int>(backend->read(80).status),
-            static_cast<int>(ReadStatus::kDue));
-  const std::uint64_t units[] = {5};
-  EXPECT_EQ(backend->scrub_units(units), 1u);
-
-  // try_clean_read refuses faulty regions and accepts clean ones.
+TEST_P(SchemeDataPath, ProbeAgreesWithReadAndRefusesFaultyUnits) {
   BitVec scratch, data;
-  EXPECT_FALSE(backend->try_clean_read(80, scratch, data));
-  ASSERT_TRUE(backend->try_clean_read(0, scratch, data));
-  EXPECT_EQ(data, payload(0, 0));
+  for (std::uint64_t line = 0; line < scheme_->num_data_lines(); ++line) {
+    ASSERT_TRUE(scheme_->probe_clean_line(line, scratch, data)) << line;
+    EXPECT_EQ(data, scheme_->read_line_data(line).data) << line;
+  }
+  constexpr std::uint64_t kUnit = 2;
+  scheme_->inject({{kUnit, GetParam().fixable}});
+  for (std::uint64_t line = 0; line < scheme_->num_data_lines(); ++line) {
+    EXPECT_EQ(scheme_->probe_clean_line(line, scratch, data),
+              scheme_->unit_of_line(line) != kUnit) << line;
+  }
+}
+
+TEST_P(SchemeDataPath, WriteLeavesEveryOtherLineIntact) {
+  const std::uint64_t target = GetParam().lines_per_unit + 1;
+  scheme_->write_line_data(target, payload(target, 5));
+  for (std::uint64_t line = 0; line < scheme_->num_data_lines(); ++line) {
+    const ReadReply reply = scheme_->read_line_data(line);
+    EXPECT_EQ(reply.status, ReadStatus::kClean) << line;
+    EXPECT_EQ(reply.data, payload(line, line == target ? 5 : 0)) << line;
+  }
+}
+
+TEST_P(SchemeDataPath, CorrectsInlineThenScrubReportsDueUnits) {
+  constexpr std::uint64_t kUnit = 2;
+  const std::uint64_t line = kUnit * GetParam().lines_per_unit;
+  scheme_->inject({{kUnit, GetParam().fixable}});
+  const ReadReply fixed = scheme_->read_line_data(line);
+  EXPECT_EQ(fixed.status, ReadStatus::kCorrected);
+  EXPECT_EQ(fixed.data, payload(line, 0));
+  // The read wrote the correction back.
+  EXPECT_EQ(scheme_->read_line_data(line).status, ReadStatus::kClean);
+
+  const std::vector<std::uint64_t> lost = lose_first_quarter();
+  const reliability::UnitScrubStats stats = scheme_->scrub_units(lost);
+  std::vector<std::uint64_t> due = stats.due_unit_ids;
+  std::sort(due.begin(), due.end());
+  EXPECT_EQ(due, lost);
+  EXPECT_EQ(stats.due_units, lost.size());
+  EXPECT_EQ(scheme_->read_line_data(0).status, ReadStatus::kDue);
+}
+
+// A write into a unit that is already lost must not turn its other lines
+// into clean-but-wrong data. Hi-ECC's region read-modify-write re-encodes
+// the parity over the corrupted region, which made its sibling lines read
+// back clean (locked read and probe alike) with the wrong payload.
+TEST_P(SchemeDataPath, WriteIntoALostUnitNeverServesWrongData) {
+  const std::vector<std::uint64_t> lost = lose_first_quarter();
+  const std::uint64_t lost_lines = lost.size() * GetParam().lines_per_unit;
+  constexpr std::uint64_t kTarget = 1;
+  scheme_->write_line_data(kTarget, payload(kTarget, 5));
+
+  BitVec scratch, data;
+  for (std::uint64_t line = 0; line < lost_lines; ++line) {
+    const ReadReply reply = scheme_->read_line_data(line);
+    if (line == kTarget) {
+      EXPECT_EQ(reply.status, ReadStatus::kClean);
+      EXPECT_EQ(reply.data, payload(kTarget, 5));
+      continue;
+    }
+    EXPECT_EQ(reply.status, ReadStatus::kDue) << line;
+    EXPECT_FALSE(scheme_->probe_clean_line(line, scratch, data)) << line;
+  }
+  // Writing a lost line makes it live again.
+  scheme_->write_line_data(0, payload(0, 9));
+  const ReadReply rewritten = scheme_->read_line_data(0);
+  EXPECT_EQ(rewritten.status, ReadStatus::kClean);
+  EXPECT_EQ(rewritten.data, payload(0, 9));
+  ASSERT_TRUE(scheme_->probe_clean_line(0, scratch, data));
+  EXPECT_EQ(data, payload(0, 9));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SchemeDataPath, ::testing::ValuesIn(kDataPathCases),
+    [](const ::testing::TestParamInfo<DataPathCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(SchemeWithoutDataPath, EccKThrowsLogicError) {
+  baselines::EccKCache ecc(64, 4);
+  BitVec scratch, data;
+  EXPECT_THROW(ecc.num_data_lines(), std::logic_error);
+  EXPECT_THROW(ecc.read_line_data(0), std::logic_error);
+  EXPECT_THROW(ecc.write_line_data(0, BitVec(512)), std::logic_error);
+  EXPECT_THROW(ecc.probe_clean_line(0, scratch, data), std::logic_error);
+}
+
+// Hi-ECC scrub corrections count as retirement strikes: a stuck cell makes
+// its region dirty on every scrub, so two scrubs with no reads in between
+// retire all 16 lines of the region.
+TEST(ServiceDegradation, HiEccScrubCorrectionsRetireAStuckRegion) {
+  MemoryService svc({.banks = 1, .repair_workers = 1, .retire_strikes = 2},
+                    [](std::uint32_t) { return make_hiecc_backend(256); });
+  svc.format([](std::uint32_t, std::uint64_t line) { return payload(line, 0); });
+  constexpr std::uint64_t kRegion = 3;
+  constexpr std::uint32_t kBit = 100;
+  const faults::StuckCell cell{kRegion, kBit,
+                               !svc.backend(0).array().test(kRegion, kBit)};
+  const std::uint64_t units[] = {kRegion};
+  for (int round = 0; round < 2; ++round) {
+    svc.assert_stuck(0, {&cell, 1}, /*scrub_async=*/false);
+    EXPECT_EQ(svc.scrub_units_now(0, units), 0u);
+  }
+
+  std::vector<std::uint64_t> region_lines(16);
+  for (std::uint64_t k = 0; k < 16; ++k) region_lines[k] = kRegion * 16 + k;
+  const DegradationReport report = svc.degradation_report();
+  EXPECT_EQ(report.banks[0].retired_lines, region_lines);
+  EXPECT_EQ(report.retired_mapped, 16u);
+  ClientStats stats;
+  BitVec buf;
+  for (const auto line : region_lines) {
+    EXPECT_EQ(svc.read(line, stats, buf), ReadStatus::kClean);
+    EXPECT_EQ(buf, payload(line, 0)) << line;
+  }
 }
 
 }  // namespace
