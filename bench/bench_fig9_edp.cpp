@@ -4,7 +4,7 @@
 // updates on every cache write.
 //
 // Each benchmark (and each 8-core mix) is an independent with/ideal
-// simulation pair, so the pairs fan out across the worker pool; results
+// simulation pair, so the pairs fan out across parallel_for workers; results
 // land in an index-addressed slot table and are reduced in roster order,
 // which keeps the artifact bit-identical for any --threads value.
 #include <chrono>
@@ -14,7 +14,7 @@
 
 #include "bench_util.h"
 #include "energy/energy_model.h"
-#include "exp/thread_pool.h"
+#include "exp/parallel_for.h"
 #include "sim/timing_sim.h"
 
 using namespace sudoku;
@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<EdpPair> slots(workloads.size());
-  exp::ThreadPool pool(args.threads);
-  pool.parallel_for(workloads.size(), [&](std::uint64_t i) {
+  exp::parallel_for(args.threads, workloads.size(), [&](std::uint64_t i) {
     slots[i] = run_pair(workloads[i].benchmarks, instr);
   });
 
@@ -143,7 +142,7 @@ int main(int argc, char** argv) {
   exp::RunStats stats;
   stats.trials = static_cast<std::uint64_t>(workloads.size());
   stats.wall_seconds = wall;
-  stats.threads = pool.size();
+  stats.threads = exp::resolve_threads(args.threads);
   stats.shards = static_cast<std::uint64_t>(workloads.size());
   bench::emit_artifact(args, "fig9_edp", config, result, stats);
   return 0;

@@ -4,7 +4,7 @@
 // at an accelerated BER where every scheme's failures are observable.
 //
 // The MC section runs on the src/exp engine: each scheme's intervals shard
-// across the pool (one scheme instance per shard via a factory) with
+// across the workers (one scheme instance per shard via a factory) with
 // per-trial seed streams, so counts are thread-count-invariant; the whole
 // comparison is written as a bench/out JSON artifact. With --checkpoint /
 // --resume each scheme's shards checkpoint under their own scope (the

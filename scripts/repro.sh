@@ -16,7 +16,7 @@
 #                 skips the three wall-clock-heavy benches
 #   --record      overwrite bench/golden/ with this run's artifacts
 #                 instead of diffing
-#   --threads=N   pool width for the engine-backed benches (results are
+#   --threads=N   worker count for the engine-backed benches (results are
 #                 bit-identical for any N; default: all hardware threads)
 #   --jobs=N      run each engine-backed bench as a fleet of N processes
 #                 (tools/fleet) splitting shards through a shared

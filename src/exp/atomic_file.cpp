@@ -23,7 +23,7 @@ namespace {
 }
 
 // Writer-unique temporary suffix. Concurrent publishers of the same path
-// (fleet siblings emitting one artifact, or two pool threads saving at
+// (fleet siblings emitting one artifact, or two worker threads saving at
 // once) must not share a staging name: with a fixed ".tmp" one writer
 // renames the other's half-written temp into place, or renames it away and
 // fails the loser with ENOENT. pid + a process-local counter keeps every

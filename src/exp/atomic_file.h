@@ -3,7 +3,7 @@
 // resumed run after a crash or SIGKILL) therefore sees either the previous
 // complete file or the new complete file — never a truncated one. The
 // writer-unique staging name keeps concurrent publishers (fleet siblings
-// emitting the same artifact, pool threads saving at once) from clobbering
+// emitting the same artifact, worker threads saving at once) from clobbering
 // each other's temp files. Used by ResultSink artifacts and checkpoint
 // shards.
 //

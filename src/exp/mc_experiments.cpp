@@ -11,7 +11,6 @@
 #include "exp/metrics_io.h"
 #include "exp/sharder.h"
 #include "exp/shutdown.h"
-#include "exp/thread_pool.h"
 #include "exp/work_queue.h"
 
 namespace sudoku::exp {
@@ -94,8 +93,6 @@ reliability::McResult run_montecarlo_parallel(const reliability::McConfig& confi
   const std::uint64_t chunk = resolve_chunk(options, config.max_intervals);
   RunShardedOptions<reliability::McResult> opt;
   opt.target_failures = config.target_failures;
-  opt.quarantine = true;
-  opt.max_attempts = options.max_attempts;
   opt.report = options.report;
   opt.after_shard = options.after_shard;
   if (options.checkpoint) {
@@ -118,7 +115,6 @@ reliability::McResult run_montecarlo_parallel(const reliability::McConfig& confi
           "store is how workers coordinate)");
     }
     WorkQueueOptions qopt;
-    qopt.lease = std::chrono::milliseconds(options.lease_ms);
     qopt.poll = std::chrono::milliseconds(options.poll_ms);
     queue.emplace(opt.checkpoint, opt.key, qopt);
     opt.queue = &*queue;
@@ -145,15 +141,15 @@ reliability::McResult run_montecarlo_parallel(const reliability::McConfig& confi
   };
 
   const auto shards = make_shards(config.max_intervals, chunk);
-  ThreadPool pool(options.threads);
+  const unsigned threads = resolve_threads(options.threads);
   const auto t0 = std::chrono::steady_clock::now();
   reliability::McResult merged =
-      run_sharded<reliability::McResult>(pool, shards, opt, run_shard);
+      run_sharded<reliability::McResult>(threads, shards, opt, run_shard);
   const auto t1 = std::chrono::steady_clock::now();
   if (stats) {
     stats->trials = merged.intervals;
     stats->wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    stats->threads = pool.size();
+    stats->threads = threads;
     stats->shards = shards.size();
   }
   return merged;

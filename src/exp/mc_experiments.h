@@ -1,12 +1,13 @@
 // Engine adapter for the Monte-Carlo loop: shard the interval budget, run
-// each shard with per-trial seed streams on the work-stealing pool, and
+// each shard with per-trial seed streams on parallel_for workers, and
 // merge deterministically. Merged counts are bit-identical for any thread
 // count (see docs/exp_engine.md for the exact contract).
 //
 // Fault tolerance (docs/robustness.md): pass a CheckpointStore to persist
 // every finished shard and replay them on resume; pass a ShardRunReport to
-// get quarantine/retry/interrupt accounting. Runs always have quarantine
-// on — a throwing trial degrades the campaign instead of terminating it.
+// get quarantine/retry/interrupt accounting. A throwing shard is retried
+// up to kMaxShardAttempts (engine.h) times and then quarantined — it
+// degrades the campaign instead of terminating it.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,7 @@
 namespace sudoku::exp {
 
 struct ExpOptions {
-  unsigned threads = 0;     // pool width; 0 = one per hardware thread
+  unsigned threads = 0;     // worker count; 0 = one per hardware thread
   std::uint64_t chunk = 0;  // trials per shard; 0 = default_chunk(total)
 
   // ---- fault tolerance ----
@@ -35,8 +36,6 @@ struct ExpOptions {
   // McConfig driven through different scheme factories, which cannot be
   // hashed). Also names the checkpoint subdirectory.
   std::string checkpoint_scope;
-  // Tries per shard before quarantine (minimum 1).
-  unsigned max_attempts = 3;
   // Accumulates resume/retry/quarantine/interrupt accounting across calls.
   ShardRunReport* report = nullptr;
   // Progress/test hook: fired after each live shard completes.
@@ -48,9 +47,9 @@ struct ExpOptions {
   // split one experiment and each merge the same bit-identical result.
   // Requires `checkpoint` (the store is the coordination medium); the
   // adapters throw std::runtime_error if fleet is requested without it.
+  // A claim older than WorkQueueOptions::lease with no published result is
+  // stealable.
   bool fleet = false;
-  // Claim lease: a claim this old with no published result is stealable.
-  unsigned lease_ms = 10000;
   // Sleep between polls of a sibling-owned shard in the wait pass.
   unsigned poll_ms = 20;
 };

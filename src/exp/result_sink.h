@@ -27,7 +27,7 @@ struct RunStats {
   RunStats& operator+=(const RunStats& other) {
     trials += other.trials;
     wall_seconds += other.wall_seconds;
-    threads = other.threads;  // last run's pool width
+    threads = other.threads;  // last run's worker count
     shards += other.shards;
     return *this;
   }

@@ -106,6 +106,17 @@ std::vector<std::uint64_t> SudokuController::group_members(std::uint64_t group,
   return which_hash == 1 ? hash_.members1(group) : hash_.members2(group);
 }
 
+void SudokuController::xor_group(std::uint64_t group, int which_hash, BitVec& acc) const {
+  acc.clear();
+  for (const auto line : group_members(group, which_hash)) array_.xor_line_into(line, acc);
+}
+
+std::vector<std::uint64_t> SudokuController::repair_hash1_group(std::uint64_t group,
+                                                                ScrubStats& stats) {
+  return config_.level == SudokuLevel::kZ ? repair_group_skewed(group, stats)
+                                          : repair_group(group, 1, stats);
+}
+
 void SudokuController::format(const std::function<BitVec(std::uint64_t)>& make_data) {
   for (std::uint64_t line = 0; line < config_.geo.num_lines; ++line) {
     array_.write_line(line, codec_.encode(make_data(line)));
@@ -127,17 +138,14 @@ void SudokuController::format_random(Rng& rng) {
 }
 
 void SudokuController::rebuild_parities() {
-  const std::uint32_t width = codec_.total_bits();
-  BitVec acc(width);
+  BitVec acc(codec_.total_bits());
   for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
+    xor_group(g, 1, acc);
     plt1_.write(g, acc);
   }
   if (plt2_) {
     for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-      acc.clear();
-      for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
+      xor_group(g, 2, acc);
       plt2_->write(g, acc);
     }
   }
@@ -150,11 +158,7 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   BitVec old = array_.read_line(line);
   if (codec_.check_and_correct(old) == LineCodec::LineState::kUncorrectable) {
     ScrubStats scratch;
-    if (config_.level == SudokuLevel::kZ) {
-      repair_group_skewed(hash_.group1(line), scratch);
-    } else {
-      repair_group(hash_.group1(line), 1, scratch);
-    }
+    repair_hash1_group(hash_.group1(line), scratch);
     old = array_.read_line(line);
     // If the old line is still broken its data is already lost; the write
     // overwrites it, and we must resynchronise parity the hard way below.
@@ -171,13 +175,11 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   } else {
     // Rare fallback: rebuild the parities of the affected groups from the
     // stored lines.
-    const std::uint32_t width = codec_.total_bits();
-    BitVec acc(width);
-    for (const auto l : hash_.members1(hash_.group1(line))) array_.xor_line_into(l, acc);
+    BitVec acc(codec_.total_bits());
+    xor_group(hash_.group1(line), 1, acc);
     plt1_.write(hash_.group1(line), acc);
     if (plt2_) {
-      acc.clear();
-      for (const auto l : hash_.members2(hash_.group2(line))) array_.xor_line_into(l, acc);
+      xor_group(hash_.group2(line), 2, acc);
       plt2_->write(hash_.group2(line), acc);
     }
   }
@@ -197,12 +199,7 @@ ReadReply SudokuController::read_data(std::uint64_t line) {
       break;
   }
   ScrubStats scratch;
-  std::vector<std::uint64_t> losers;
-  if (config_.level == SudokuLevel::kZ) {
-    losers = repair_group_skewed(hash_.group1(line), scratch);
-  } else {
-    losers = repair_group(hash_.group1(line), 1, scratch);
-  }
+  const std::vector<std::uint64_t> losers = repair_hash1_group(hash_.group1(line), scratch);
   if (std::find(losers.begin(), losers.end(), line) != losers.end()) {
     OBS_INC(obs_.read_due);
     return {BitVec(LineCodec::kDataBits), ReadStatus::kDue};
@@ -401,12 +398,7 @@ ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   while (progress && !failing.empty()) {
     progress = false;
     for (auto it = failing.begin(); it != failing.end();) {
-      std::vector<std::uint64_t> losers;
-      if (config_.level == SudokuLevel::kZ) {
-        losers = repair_group_skewed(it->first, stats);
-      } else {
-        losers = repair_group(it->first, 1, stats);
-      }
+      const std::vector<std::uint64_t> losers = repair_hash1_group(it->first, stats);
       if (losers.empty()) {
         it = failing.erase(it);
         progress = true;
@@ -419,13 +411,7 @@ ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   }
   // Whatever still fails is a detectable uncorrectable error.
   for (const auto& [g, count] : failing) {
-    std::vector<std::uint64_t> losers;
-    if (config_.level == SudokuLevel::kZ) {
-      losers = repair_group_skewed(g, stats);
-    } else {
-      losers = repair_group(g, 1, stats);
-    }
-    for (const auto l : losers) {
+    for (const auto l : repair_hash1_group(g, stats)) {
       ++stats.due_lines;
       OBS_INC(obs_.repair_due_lines);
       stats.due_line_ids.push_back(l);
@@ -459,13 +445,11 @@ void SudokuController::rebuild_parities_for(std::span<const std::uint64_t> lines
   dedup(g2);
   BitVec acc(codec_.total_bits());
   for (const auto g : g1) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
+    xor_group(g, 1, acc);
     plt1_.write(g, acc);
   }
   for (const auto g : g2) {
-    acc.clear();
-    for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
+    xor_group(g, 2, acc);
     plt2_->write(g, acc);
   }
 }
@@ -473,15 +457,13 @@ void SudokuController::rebuild_parities_for(std::span<const std::uint64_t> lines
 bool SudokuController::parities_consistent() const {
   BitVec acc(codec_.total_bits());
   for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
+    xor_group(g, 1, acc);
     plt1_.xor_into(g, acc);
     if (acc.any()) return false;
   }
   if (plt2_) {
     for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-      acc.clear();
-      for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
+      xor_group(g, 2, acc);
       plt2_->xor_into(g, acc);
       if (acc.any()) return false;
     }

@@ -162,6 +162,8 @@ class SudokuController {
   Instruments obs_;
 
   std::vector<std::uint64_t> group_members(std::uint64_t group, int which_hash) const;
+  // acc := XOR of the stored codewords of `group` under hash `which_hash`.
+  void xor_group(std::uint64_t group, int which_hash, BitVec& acc) const;
   ParityTable& plt(int which_hash);
   const ParityTable& plt(int which_hash) const;
 
@@ -178,6 +180,10 @@ class SudokuController {
 
   // SuDoku-Z: fixed-point iteration between Hash-1 and Hash-2 groups.
   std::vector<std::uint64_t> repair_group_skewed(std::uint64_t group1, ScrubStats& stats);
+
+  // Full repair of one Hash-1 group at this level: the skewed iteration
+  // for SuDoku-Z, plain repair_group below it. Returns the DUE lines.
+  std::vector<std::uint64_t> repair_hash1_group(std::uint64_t group, ScrubStats& stats);
 
   void rebuild_parities();
 };

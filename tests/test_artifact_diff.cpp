@@ -4,6 +4,7 @@
 // exit-code contract including the pointed, path-qualified message a
 // perturbed golden must produce.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -186,7 +187,12 @@ TEST(ArtifactDiff, RenderProducesOneLinePerEntry) {
 class ArtifactDiffCli : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "sudoku_artifact_diff_test";
+    // One directory per test and process: ctest -j runs these tests
+    // concurrently, and each one removes its directory in TearDown.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("sudoku_artifact_diff_test_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/cppc_cache.h"
@@ -13,10 +15,10 @@
 #include "exp/json.h"
 #include "exp/mc_experiments.h"
 #include "exp/metrics_io.h"
+#include "exp/parallel_for.h"
 #include "exp/result_sink.h"
 #include "exp/seed_stream.h"
 #include "exp/sharder.h"
-#include "exp/thread_pool.h"
 
 namespace sudoku::exp {
 namespace {
@@ -117,78 +119,60 @@ TEST(EarlyStopTracker, ZeroTargetNeverTriggers) {
   EXPECT_FALSE(early.triggered());
 }
 
-// ---- thread pool -----------------------------------------------------
+// ---- parallel_for ----------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
-  ThreadPool pool(4);
+TEST(ParallelFor, CoversEachIndexOnce) {
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::uint64_t i) { hits[i].fetch_add(1); });
+  parallel_for(4, hits.size(), [&](std::uint64_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, NestedSubmitFromWorker) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&] {
-      // Lands on the submitting worker's own deque; thieves may take it.
-      pool.submit([&] { count.fetch_add(1); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
+TEST(ParallelFor, EmptyRangeRunsNothing) {
+  std::atomic<int> ran{0};
+  parallel_for(4, 0, [&](std::uint64_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 0);
 }
 
-// ---- thread pool exception propagation --------------------------------
+TEST(ParallelFor, FewerIndicesThanThreads) {
+  std::vector<std::atomic<int>> hits(3);
+  parallel_for(8, hits.size(), [&](std::uint64_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
 
-TEST(ThreadPool, ParallelForPropagatesWorkerExceptionAfterJoin) {
-  ThreadPool pool(4);
+TEST(ParallelFor, ZeroThreadsMeansHardwareWidth) {
+  EXPECT_EQ(resolve_threads(0), std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(resolve_threads(5), 5u);
+  std::vector<std::atomic<int>> hits(100);
+  parallel_for(0, hits.size(), [&](std::uint64_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, PropagatesWorkerExceptionAfterJoin) {
   std::atomic<int> ran{0};
   // A throwing body must surface as an exception on the calling thread —
-  // not std::terminate — and must not wedge the pool.
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::uint64_t i) {
-                          ran.fetch_add(1);
-                          if (i == 13) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  EXPECT_GT(ran.load(), 0);
-  // The pool stays usable after the failed call.
+  // not std::terminate — and every other index must still run.
+  EXPECT_THROW(parallel_for(4, 64,
+                            [&](std::uint64_t i) {
+                              ran.fetch_add(1);
+                              if (i == 13) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 64);
+  // A second call after the failed one works.
   std::atomic<int> after{0};
-  pool.parallel_for(32, [&](std::uint64_t) { after.fetch_add(1); });
+  parallel_for(4, 32, [&](std::uint64_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 32);
 }
 
-TEST(ThreadPool, ParallelForReportsFirstOfManyExceptions) {
-  ThreadPool pool(8);
+TEST(ParallelFor, ReportsFirstOfManyExceptions) {
   try {
-    pool.parallel_for(100, [&](std::uint64_t i) {
+    parallel_for(8, 100, [&](std::uint64_t i) {
       throw std::runtime_error("task " + std::to_string(i));
     });
     FAIL() << "parallel_for must rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("task "), std::string::npos);
   }
-}
-
-TEST(ThreadPool, BareSubmitErrorSurfacesAtWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::logic_error("stray"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  // The stored error is consumed: the next quiescent wait is clean.
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
 }
 
 // ---- engine determinism ----------------------------------------------
@@ -199,10 +183,16 @@ TEST(ExpEngine, McResultIdenticalAcrossThreadCounts) {
   const auto r1 = run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 32}, &s1);
   const auto r2 = run_montecarlo_parallel(cfg, {.threads = 2, .chunk = 32});
   const auto r8 = run_montecarlo_parallel(cfg, {.threads = 8, .chunk = 32});
+  // More workers than shards: a 3-shard plan at width 8. (The merged
+  // counts depend on the plan, so this one has its own 1-thread reference.)
+  ASSERT_EQ(make_shards(cfg.max_intervals, 67).size(), 3u);
+  const auto r1_3 = run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 67});
+  const auto r8_3 = run_montecarlo_parallel(cfg, {.threads = 8, .chunk = 67});
   EXPECT_EQ(r1.intervals, cfg.max_intervals);
   EXPECT_GT(r1.failure_intervals, 0u);  // the comparison must see events
   expect_identical(r1, r2);
   expect_identical(r1, r8);
+  expect_identical(r1_3, r8_3);
   EXPECT_EQ(s1.trials, cfg.max_intervals);
   EXPECT_EQ(s1.threads, 1u);
   EXPECT_GT(s1.wall_seconds, 0.0);
@@ -275,7 +265,7 @@ TEST(ExpEngine, McResultMergeSumsAllCounters) {
 }
 
 // run_sharded with a synthetic workload: shard results are pure functions
-// of the shard range, so the merge must be reproducible under any pool.
+// of the shard range, so the merge must be reproducible at any width.
 struct ToyResult {
   std::uint64_t sum = 0;
   std::uint64_t failure_intervals = 0;
@@ -288,47 +278,32 @@ struct ToyResult {
 
 TEST(ExpEngine, RunShardedMergesInShardOrderWithCutoff) {
   const auto shards = make_shards(100, 10);
-  ThreadPool pool(4);
   const auto run = [](const Shard& s, const EarlyStop&) {
     ToyResult r;
     for (std::uint64_t t = s.first; t < s.first + s.count; ++t) r.sum += t;
     r.failure_intervals = 1;  // every shard "fails" once
     return std::optional<ToyResult>(r);
   };
-  const auto all = run_sharded<ToyResult>(pool, shards, 0, run);
+  const auto all = run_sharded<ToyResult>(4, shards, {}, run);
   EXPECT_EQ(all.sum, 99u * 100u / 2);
   EXPECT_EQ(all.failure_intervals, 10u);
 
   // target 3 => merge exactly shards 0..2 regardless of execution order.
-  const auto cut = run_sharded<ToyResult>(pool, shards, 3, run);
+  RunShardedOptions<ToyResult> opt;
+  opt.target_failures = 3;
+  const auto cut = run_sharded<ToyResult>(4, shards, opt, run);
   EXPECT_EQ(cut.failure_intervals, 3u);
   EXPECT_EQ(cut.sum, 29u * 30u / 2);
 }
 
-TEST(ExpEngine, LegacyOverloadPropagatesShardExceptions) {
-  const auto shards = make_shards(40, 10);
-  ThreadPool pool(4);
-  // Without a quarantine policy the engine must not swallow the error.
-  EXPECT_THROW(run_sharded<ToyResult>(
-                   pool, shards, 0,
-                   [](const Shard& s, const EarlyStop&) -> std::optional<ToyResult> {
-                     if (s.index == 2) throw std::runtime_error("shard blew up");
-                     return ToyResult{};
-                   }),
-               std::runtime_error);
-}
-
 TEST(ExpEngine, QuarantineExcludesPersistentlyThrowingShard) {
   const auto shards = make_shards(100, 10);
-  ThreadPool pool(4);
   ShardRunReport report;
   RunShardedOptions<ToyResult> opt;
-  opt.quarantine = true;
-  opt.max_attempts = 3;
   opt.report = &report;
   std::atomic<int> attempts_on_bad{0};
   const auto merged = run_sharded<ToyResult>(
-      pool, shards, opt,
+      4, shards, opt,
       [&](const Shard& s, const EarlyStop&) -> std::optional<ToyResult> {
         if (s.index == 4) {
           attempts_on_bad.fetch_add(1);
@@ -338,7 +313,7 @@ TEST(ExpEngine, QuarantineExcludesPersistentlyThrowingShard) {
         r.sum = s.count;
         return r;
       });
-  EXPECT_EQ(attempts_on_bad.load(), 3);  // retried to max_attempts
+  EXPECT_EQ(attempts_on_bad.load(), 3);  // retried to kMaxShardAttempts
   EXPECT_EQ(merged.sum, 90u);            // 9 healthy shards of 10 trials
   EXPECT_TRUE(report.degraded());
   EXPECT_EQ(report.shards_total, 10u);
@@ -356,15 +331,12 @@ TEST(ExpEngine, QuarantineExcludesPersistentlyThrowingShard) {
 
 TEST(ExpEngine, TransientThrowRecoversViaRetryWithoutDegrading) {
   const auto shards = make_shards(60, 10);
-  ThreadPool pool(4);
   ShardRunReport report;
   RunShardedOptions<ToyResult> opt;
-  opt.quarantine = true;
-  opt.max_attempts = 3;
   opt.report = &report;
   std::atomic<int> failures_left{2};  // shard 1 fails twice, then succeeds
   const auto merged = run_sharded<ToyResult>(
-      pool, shards, opt,
+      4, shards, opt,
       [&](const Shard& s, const EarlyStop&) -> std::optional<ToyResult> {
         if (s.index == 1 && failures_left.fetch_sub(1) > 0) {
           throw std::runtime_error("transient");

@@ -298,7 +298,7 @@ TEST(MetricsRegistry, MergeUnionsDisjointNames) {
 }
 
 // The end-to-end acceptance property: the Monte-Carlo experiment's merged
-// registry (riding inside McResult through the real thread pool) renders
+// registry (riding inside McResult through the engine's parallel_for) renders
 // identically for 1 and 8 threads.
 TEST(MetricsRegistry, EngineMergedMetricsIdenticalAcrossThreadCounts) {
   reliability::McConfig cfg;

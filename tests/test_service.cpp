@@ -281,17 +281,26 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
   std::vector<std::atomic<std::uint64_t>> committed(num_addrs);
   std::atomic<std::uint64_t> violations{0};
 
-  std::atomic<bool> stop_injector{false};
+  // The fault dose follows client progress, not the wall clock: scenario
+  // round t is injected once the clients have completed t * kOpsPerRound
+  // operations, so the injection stays concurrent with the clients while
+  // the scenario timeline is the same on every host (a sanitizer build
+  // slows the clients severalfold, which under a fixed-period injector
+  // pushed t deep into the intermittent and wear-out phases).
+  constexpr std::uint64_t kRounds = 8;
+  constexpr std::uint64_t kOpsPerRound = kClients * kOpsPerClient / kRounds;
+  std::atomic<std::uint64_t> ops_done{0};
   std::thread injector_thread([&] {
-    for (std::uint64_t t = 0; !stop_injector.load(std::memory_order_relaxed);
-         ++t) {
+    for (std::uint64_t t = 0; t < kRounds; ++t) {
+      while (ops_done.load(std::memory_order_relaxed) < t * kOpsPerRound) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
       for (std::uint32_t bank = 0; bank < kBanks; ++bank) {
         svc.assert_stuck(bank, scenarios[bank].stuck(t).cells(),
                          /*scrub_async=*/true);
         svc.inject_faults(bank, scenarios[bank].transient(t),
                           /*scrub_async=*/true);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
 
@@ -301,7 +310,8 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
     clients.emplace_back([&, c] {
       Rng rng(4000 + c);
       BitVec read_buf;
-      for (std::uint64_t op = 0; op < kOpsPerClient; ++op) {
+      for (std::uint64_t op = 0; op < kOpsPerClient;
+           ++op, ops_done.fetch_add(1, std::memory_order_relaxed)) {
         const std::uint64_t addr = rng.next_below(num_addrs);
         const bool owns = addr % kClients == c;
         if (owns && rng.next_bool(0.5)) {
@@ -323,7 +333,6 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
     });
   }
   for (auto& t : clients) t.join();
-  stop_injector.store(true, std::memory_order_relaxed);
   injector_thread.join();
   svc.drain();
   EXPECT_EQ(violations.load(), 0u);
